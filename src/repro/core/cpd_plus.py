@@ -155,38 +155,18 @@ class CPDPlus:
                 feature.event_type
             ]
             abnormal = 0
-            devices = 0
             devs_all: list[Component] = []
             for component in components:
                 devs_all.extend(self.builder._observables(component, kinds))
-            if self.builder.incremental:
-                # Usually a no-op: the feature pulls already warmed the
-                # shared count memo for this exact window.
-                self.builder.prefetch_event_counts(
-                    feature.locator, devs_all, t - T, t
-                )
-            for device in devs_all:
-                devices += 1
-                # CPD+ only ever consumes counts, so the incremental
-                # engine serves them from the count-query fast path
-                # (no per-event offset hashing, shared content cache
-                # with the feature pulls).  The default path keeps
-                # the seed's event-series pulls — and with them the
-                # FaultyStore query ordinals.
-                if self.builder.incremental:
-                    counts = self.builder.event_counts(
-                        feature.locator, device, t - T, t
-                    )
-                    if counts is None:
-                        continue
-                    count = counts.get(feature.event_type, 0)
-                else:
-                    events = self.builder.events(
-                        feature.locator, device, t - T, t
-                    )
-                    if events is None:
-                        continue
-                    count = events.count_of(feature.event_type)
+            # Counts only (no event is materialized), served from the
+            # same memo the feature pulls fill.
+            per_device = self.builder.device_event_counts(
+                feature.locator, devs_all, t - T, t
+            )
+            for device, counts in zip(devs_all, per_device):
+                if counts is None:
+                    continue
+                count = counts.get(feature.event_type, 0)
                 expected = rate * T / 3600.0
                 # Poisson upper-tail test: flag counts beyond the
                 # ~95% envelope of the healthy rate, and never on a
@@ -200,8 +180,8 @@ class CPDPlus:
                             f"{count}x {feature.event_type} events in "
                             f"{feature.locator} on {device.name}"
                         )
-            if devices:
-                vector[offset + e] = abnormal / devices
+            if devs_all:
+                vector[offset + e] = abnormal / len(devs_all)
         return vector, triggers
 
     # -- scope ---------------------------------------------------------------

@@ -21,6 +21,7 @@ serving layer imputes with training means (§6).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from ..datacenter.topology import Topology
 from ..monitoring.base import DataKind
 from ..monitoring.store import MonitoringStore
 from .extraction import ExtractedComponents
-from .window_agg import Block, BucketQuantiles, WindowAggregator
+from .window_agg import Block, BucketQuantiles, WindowAggregator, exact_percentiles
 
 __all__ = ["FeatureSchema", "FeatureBuilder", "STAT_NAMES"]
 
@@ -151,10 +152,33 @@ def _stats(pooled: np.ndarray) -> np.ndarray:
     if pooled.size < 2:
         return out  # std and percentile slots stay zero-filled
     out[1] = pooled.std()
-    # Full-recompute parity oracle for the incremental engine: this is
-    # the one sanctioned full-window percentile scan on the hot path.
-    out[4:] = np.percentile(pooled, _PERCENTILES)  # scoutlint: disable=hot-path-recompute
+    # One sort plus the np.percentile replica: byte-identical for the
+    # finite, zero-canonical inputs z-scored windows are (see
+    # window_agg), without numpy's per-call dispatch and partition.
+    out[4:] = exact_percentiles(np.sort(pooled), _PERCENTILES)
     return out
+
+
+def _publishes_counts(method):
+    """Flush the builder's tallied counter ticks when the outermost
+    public call returns or raises (see :meth:`FeatureBuilder._count`).
+
+    The call depth is plain instance state: like the memos, it relies on
+    a builder being driven by one thread at a time (the serving
+    manager's per-team lock).
+    """
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        self._call_depth += 1
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._call_depth -= 1
+            if not self._call_depth and self._pending_counts:
+                self._flush_counts()
+
+    return wrapper
 
 
 class FeatureBuilder:
@@ -177,7 +201,7 @@ class FeatureBuilder:
         # workers) always see every memo:
         #
         # * per-incident — cluster/DC/leaf feature groups and CPD+ all
-        #   re-query the same (dataset, device, window) series/events;
+        #   re-query the same (dataset, device, window) series/counts;
         #   with no TTL configured (the default), callers reset these
         #   between incidents via clear_cache()/begin_incident();
         # * TTL-window — when ``cache_ttl`` and ``clock`` are set (the
@@ -195,7 +219,7 @@ class FeatureBuilder:
         #   deliberately keeps it.
         self._series_memo: dict = {}
         self._norm_memo: dict = {}
-        self._events_memo: dict = {}
+        self._type_counts_memo: dict = {}
         self._observables_memo: dict = {}
         # TTL-window cache state: ``cache_ttl=None`` keeps the seed
         # behavior (per-incident memos).  ``_epoch`` counts live
@@ -206,14 +230,18 @@ class FeatureBuilder:
         self._epoch = 0
         self._series_stamps: dict = {}
         self._norm_stamps: dict = {}
-        self._events_stamps: dict = {}
+        self._type_counts_stamps: dict = {}
         # Observability sink (None = un-instrumented): counts store
         # queries vs. memo hits.  Threaded in by the incident manager
         # at Scout registration or by an instrumented framework; the
         # obs objects pickle cleanly, so parallel dataset builds that
-        # ship builders to workers keep working.
+        # ship builders to workers keep working.  Ticks tally in
+        # _pending_counts and flush when the outermost public call
+        # (depth _call_depth) exits.
         self._obs = None
         self._bound_counters: dict = {}
+        self._pending_counts: dict = {}
+        self._call_depth = 0
         # Incremental feature engine (default off — the seed behavior
         # and the FaultyStore ordinal sequences stay untouched unless a
         # caller opts in).  All engine caches are *content-addressed*:
@@ -267,6 +295,7 @@ class FeatureBuilder:
         state["_event_totals_memo"] = {}
         state["_engine_stamps"] = {}
         state["_bound_counters"] = {}
+        state["_pending_counts"] = {}
         return state
 
     @property
@@ -277,6 +306,7 @@ class FeatureBuilder:
     def obs(self, value) -> None:
         self._obs = value
         self._bound_counters = {}  # handles belong to the old registry
+        self._pending_counts = {}
 
     _COUNTER_HELP = {
         "monitoring_queries_total": "Monitoring-store pulls by query kind.",
@@ -290,22 +320,33 @@ class FeatureBuilder:
         ),
     }
 
-    def _count(self, metric: str, kind: str) -> None:
-        """One counter tick on the hot query path.
+    def _count(self, metric: str, kind: str, n: int = 1) -> None:
+        """Tally ``n`` counter ticks on the hot query path.
 
-        A dataset build issues tens of thousands of pulls, so the
-        (metric, kind) handle is bound once — validation and registry
-        lookup happen on first use, later ticks are just an increment.
+        A feature build ticks once per pull and memo hit, so ticks
+        accumulate per (metric, kind) and reach the registry once per
+        public builder call (:func:`_publishes_counts` flushes them in a
+        ``finally``) — the counters are exact whenever no builder call
+        is in flight.  The handle is bound on first use.
         """
         if self._obs is None:
             return
-        bound = self._bound_counters.get((metric, kind))
-        if bound is None:
-            bound = self._obs.metrics.counter(
+        key = (metric, kind)
+        pending = self._pending_counts
+        if key in pending:
+            pending[key] += n
+            return
+        if key not in self._bound_counters:
+            self._bound_counters[key] = self._obs.metrics.counter(
                 metric, self._COUNTER_HELP[metric], labels=("kind",)
             ).bind(kind=kind)
-            self._bound_counters[(metric, kind)] = bound
-        bound.inc()
+        pending[key] = n
+
+    def _flush_counts(self) -> None:
+        """Publish the tallied ticks (one increment per label set)."""
+        pending, self._pending_counts = self._pending_counts, {}
+        for key, n in pending.items():
+            self._bound_counters[key].inc(n)
 
     def clear_cache(self) -> None:
         """Reset the per-incident query memos (call between incidents).
@@ -315,10 +356,10 @@ class FeatureBuilder:
         """
         self._series_memo.clear()
         self._norm_memo.clear()
-        self._events_memo.clear()
+        self._type_counts_memo.clear()
         self._series_stamps.clear()
         self._norm_stamps.clear()
-        self._events_stamps.clear()
+        self._type_counts_stamps.clear()
 
     def clear_engine_cache(self) -> None:
         """Reset the incremental engine's content-addressed state.
@@ -378,7 +419,7 @@ class FeatureBuilder:
         for memo, stamps in (
             (self._series_memo, self._series_stamps),
             (self._norm_memo, self._norm_stamps),
-            (self._events_memo, self._events_stamps),
+            (self._type_counts_memo, self._type_counts_stamps),
         ):
             expired = [key for key, (at, _) in stamps.items() if at <= cutoff]
             for key in expired:
@@ -415,7 +456,7 @@ class FeatureBuilder:
         """Record which prediction epoch inserted an engine entry."""
         self._engine_stamps[key] = self._epoch
 
-    def series(self, locator: str, device: Component, t0: float, t1: float):
+    def _series(self, locator: str, device: Component, t0: float, t1: float):
         """Memoized MonitoringStore.query_series."""
         key = (locator, device.name, t0, t1)
         if key not in self._series_memo:
@@ -427,7 +468,9 @@ class FeatureBuilder:
             self._note_hit("series", self._series_stamps, key)
         return self._series_memo[key]
 
-    def prefetch_series(
+    series = _publishes_counts(_series)
+
+    def _prefetch_series(
         self, locator: str, devices: list[Component], t0: float, t1: float
     ) -> None:
         """Warm the series memo for many devices with one batched query.
@@ -455,40 +498,75 @@ class FeatureBuilder:
             if stamp is not None:
                 self._series_stamps[key] = stamp
 
-    def events(self, locator: str, device: Component, t0: float, t1: float):
-        """Memoized MonitoringStore.query_events."""
-        key = (locator, device.name, t0, t1)
-        if key not in self._events_memo:
-            self._count("monitoring_queries_total", "events")
-            self._events_memo[key] = self.store.query_events(locator, device, t0, t1)
-            if self.ttl_enabled:
-                self._events_stamps[key] = (self.clock(), self._epoch)
-        else:
-            self._note_hit("events", self._events_stamps, key)
-        return self._events_memo[key]
+    prefetch_series = _publishes_counts(_prefetch_series)
 
-    def prefetch_events(
+    def _type_counts(
+        self, locator: str, device: Component, t0: float, t1: float
+    ) -> dict[str, int] | None:
+        """Memoized MonitoringStore.query_event_type_counts.
+
+        The default path's event accessor: per-incident (or TTL-window)
+        lifetime like :meth:`series`, keyed on the exact query window.
+        Event features only ever need per-type counts, so no event is
+        materialized.
+        """
+        key = (locator, device.name, t0, t1)
+        if key not in self._type_counts_memo:
+            self._count("monitoring_queries_total", "event_counts")
+            self._type_counts_memo[key] = self.store.query_event_type_counts(
+                locator, device, t0, t1
+            )
+            if self.ttl_enabled:
+                self._type_counts_stamps[key] = (self.clock(), self._epoch)
+        else:
+            self._note_hit("event_counts", self._type_counts_stamps, key)
+        return self._type_counts_memo[key]
+
+    def _prefetch_type_counts(
         self, locator: str, devices: list[Component], t0: float, t1: float
     ) -> None:
-        """Warm the events memo for many devices with one batched query."""
+        """Warm the :meth:`_type_counts` memo with one batched query.
+
+        Same two-or-more-missing rule as :meth:`prefetch_series`: each
+        batch is one store query, which keeps the default path's
+        FaultyStore ordinals on the sequence the fault drills pin.
+        """
         missing: list[Component] = []
         seen: set[str] = set()
         for device in devices:
             if device.name in seen:
                 continue
             seen.add(device.name)
-            if (locator, device.name, t0, t1) not in self._events_memo:
+            if (locator, device.name, t0, t1) not in self._type_counts_memo:
                 missing.append(device)
         if len(missing) < 2:
             return
-        self._count("monitoring_queries_total", "events_batch")
-        batch = self.store.query_events_batch(locator, missing, t0, t1)
+        self._count("monitoring_queries_total", "event_counts_batch")
+        batch = self.store.query_event_type_counts_batch(
+            locator, missing, t0, t1
+        )
         stamp = (self.clock(), self._epoch) if self.ttl_enabled else None
-        for device, series in zip(missing, batch):
+        for device, counts in zip(missing, batch):
             key = (locator, device.name, t0, t1)
-            self._events_memo[key] = series
+            self._type_counts_memo[key] = counts
             if stamp is not None:
-                self._events_stamps[key] = stamp
+                self._type_counts_stamps[key] = stamp
+
+    @_publishes_counts
+    def device_event_counts(
+        self, locator: str, devices: list[Component], t0: float, t1: float
+    ) -> list[dict[str, int] | None]:
+        """Per-type counts for each of ``devices``, in order (CPD+).
+
+        The incremental engine first warms its content-addressed memo
+        with one batch query; the default path pulls device by device
+        through the per-incident memo, the query sequence CPD+ has
+        always issued there.
+        """
+        if self.incremental:
+            self._prefetch_event_counts(locator, devices, t0, t1)
+            return [self._event_counts(locator, d, t0, t1) for d in devices]
+        return [self._type_counts(locator, d, t0, t1) for d in devices]
 
     # -- component resolution ----------------------------------------------
 
@@ -536,12 +614,12 @@ class FeatureBuilder:
     ) -> np.ndarray | None:
         T = self.config.lookback
         ref_span = self.config.reference_multiple * T
-        window = self.series(locator, device, t - T, t)
+        window = self._series(locator, device, t - T, t)
         if window is None:
             return None
         if len(window) == 0:
             return np.empty(0)
-        reference = self.series(locator, device, t - T - ref_span, t - T)
+        reference = self._series(locator, device, t - T - ref_span, t - T)
         if reference is None or len(reference) < 2:
             mean, std = window.values.mean(), window.values.std()
         else:
@@ -582,7 +660,7 @@ class FeatureBuilder:
 
         usable: list[tuple[Component, np.ndarray]] = []
         for device in missing:
-            window = self.series(locator, device, t - T, t)
+            window = self._series(locator, device, t - T, t)
             if window is None:
                 memoize(device, None)
             elif len(window) == 0:
@@ -593,7 +671,7 @@ class FeatureBuilder:
             return
         windows = np.vstack([values for _, values in usable])
         references = [
-            self.series(locator, device, t - T - ref_span, t - T)
+            self._series(locator, device, t - T - ref_span, t - T)
             for device, _ in usable
         ]
         if references[0] is None or len(references[0]) < 2:
@@ -608,7 +686,7 @@ class FeatureBuilder:
         for row, (device, _) in enumerate(usable):
             memoize(device, normalized[row])
 
-    def pull_group(
+    def _pull_group(
         self,
         group: _TsGroup,
         components: list[Component],
@@ -629,8 +707,8 @@ class FeatureBuilder:
                 devices.extend(self._observables(component, dataset_kinds))
             # One batched pull per (dataset, window) warms the memos for
             # the whole group before the per-device normalization loop.
-            self.prefetch_series(locator, devices, t - T, t)
-            self.prefetch_series(locator, devices, t - T - ref_span, t - T)
+            self._prefetch_series(locator, devices, t - T, t)
+            self._prefetch_series(locator, devices, t - T - ref_span, t - T)
             self._prefetch_normalized(locator, devices, t)
             for component in components:
                 for device in self._observables(component, dataset_kinds):
@@ -639,7 +717,7 @@ class FeatureBuilder:
                         windows.append(normalized)
         return windows, any_active
 
-    def pull_events(
+    def _pull_events(
         self,
         feature: _EventFeature,
         components: list[Component],
@@ -655,16 +733,12 @@ class FeatureBuilder:
             for component in components
             for device in self._observables(component, dataset_kinds)
         ]
-        self.prefetch_events(feature.locator, devices, t - T, t)
+        self._prefetch_type_counts(feature.locator, devices, t - T, t)
         count = 0
         for device in devices:
-            events = self.events(feature.locator, device, t - T, t)
-            if events is None:
-                continue
-            # Cached per-type counts: several _EventFeature entries
-            # share one (dataset, device, window) EventSeries, so
-            # re-scanning the type tuple per feature is wasted work.
-            count += events.count_of(feature.event_type)
+            counts = self._type_counts(feature.locator, device, t - T, t)
+            if counts is not None:
+                count += counts.get(feature.event_type, 0)
         return float(count)
 
     # -- incremental engine -------------------------------------------------
@@ -690,7 +764,7 @@ class FeatureBuilder:
     ) -> np.ndarray | None:
         """The eleven statistics for one ts-group, O(delta) per advance.
 
-        Byte-identical to ``_stats(np.concatenate(pull_group(...)))``:
+        Byte-identical to ``_stats(np.concatenate(_pull_group(...)))``:
         blocks pool in the same locator → component → device order, and
         the aggregator computes the pooled statistics exactly (see
         :mod:`.window_agg`).  Returns None when no data source is up
@@ -726,8 +800,8 @@ class FeatureBuilder:
             if missing:
                 # Same warm-up as the full path, but only for devices
                 # whose block is genuinely new content.
-                self.prefetch_series(locator, missing, t - T, t)
-                self.prefetch_series(locator, missing, t - T - ref_span, t - T)
+                self._prefetch_series(locator, missing, t - T, t)
+                self._prefetch_series(locator, missing, t - T - ref_span, t - T)
                 self._prefetch_normalized(locator, missing, t)
             for device, key in resolved:
                 block = self._block_cache.get(key)
@@ -760,34 +834,22 @@ class FeatureBuilder:
             self._group_aggs[group_index] = agg
         added, dropped = agg.advance(keyed)
         if added:
-            self._count_n("window_advance_samples", "added", added)
+            self._count("window_advance_samples", "added", added)
         if dropped:
-            self._count_n("window_advance_samples", "dropped", dropped)
+            self._count("window_advance_samples", "dropped", dropped)
         stats = agg.stats(_PERCENTILES)
         self._group_state[group_index] = (state_key, stats)
         self._group_stats_memo[state_key] = stats
         self._stamp_engine(("group_stats", state_key))
         return stats
 
-    def _count_n(self, metric: str, kind: str, n: int) -> None:
-        """Like :meth:`_count` but adds ``n`` at once."""
-        if self._obs is None:
-            return
-        bound = self._bound_counters.get((metric, kind))
-        if bound is None:
-            bound = self._obs.metrics.counter(
-                metric, self._COUNTER_HELP[metric], labels=("kind",)
-            ).bind(kind=kind)
-            self._bound_counters[(metric, kind)] = bound
-        bound.inc(n)
-
-    def event_counts(
+    def _event_counts(
         self, locator: str, device: Component, t0: float, t1: float
     ) -> dict[str, int] | None:
         """Content-addressed per-type event counts over ``[t0, t1]``.
 
-        Equals ``events(...).count_by_type()`` (with explicit zeros for
-        quiet schema types) without materializing a single event.
+        Equals ``store.query_events(...).count_by_type()`` (with explicit
+        zeros for quiet schema types) without materializing an event.
         Windows of pairs carrying effects key on the exact float window
         — burst counts depend on it — every other window keys on the
         bin grid and is shared across incidents.
@@ -802,6 +864,8 @@ class FeatureBuilder:
         self._stamp_engine(("event_counts", key))
         return counts
 
+    event_counts = _publishes_counts(_event_counts)
+
     def _count_key(
         self, locator: str, device: Component, t0: float, t1: float
     ) -> tuple:
@@ -812,7 +876,7 @@ class FeatureBuilder:
             key = key + (t0, t1)
         return key
 
-    def prefetch_event_counts(
+    def _prefetch_event_counts(
         self, locator: str, devices: list[Component], t0: float, t1: float
     ) -> None:
         """Warm the count memo for many devices with one batched query.
@@ -880,10 +944,10 @@ class FeatureBuilder:
         devices: list[Component] = []
         for component in components:
             devices.extend(self._observables(component, dataset_kinds))
-        self.prefetch_event_counts(locator, devices, t0, t1)
+        self._prefetch_event_counts(locator, devices, t0, t1)
         totals = {}
         for device in devices:
-            counts = self.event_counts(locator, device, t0, t1)
+            counts = self._event_counts(locator, device, t0, t1)
             if counts is None:
                 continue
             for event_type, n in counts.items():
@@ -898,7 +962,7 @@ class FeatureBuilder:
         components: list[Component],
         t: float,
     ) -> float:
-        """Incremental-engine :meth:`pull_events` (count queries only)."""
+        """Incremental-engine :meth:`_pull_events` (count queries only)."""
         totals = self._event_totals_incremental(
             feature.locator, components, t
         )
@@ -941,6 +1005,7 @@ class FeatureBuilder:
 
     # -- the feature vector ----------------------------------------------------
 
+    @_publishes_counts
     def features(
         self, extracted: ExtractedComponents, t: float
     ) -> np.ndarray:
@@ -960,7 +1025,7 @@ class FeatureBuilder:
             if not components:
                 vector[pos : pos + len(STAT_NAMES)] = 0.0
             else:
-                windows, any_active = self.pull_group(group, components, t)
+                windows, any_active = self._pull_group(group, components, t)
                 if not any_active:
                     vector[pos : pos + len(STAT_NAMES)] = np.nan
                 elif not windows:
@@ -975,7 +1040,7 @@ class FeatureBuilder:
             if not components:
                 vector[pos] = 0.0
             else:
-                vector[pos] = self.pull_events(feature, components, t)
+                vector[pos] = self._pull_events(feature, components, t)
             pos += 1
         for kind in self.config.kinds:
             vector[pos] = float(len(extracted.of_kind(kind)))

@@ -19,9 +19,8 @@ picklability invariants the pipeline depends on:
 * ``hot-path-recompute`` — no full-window order statistics
   (``np.percentile``/``np.quantile``/``np.median``) in the per-incident
   hot-path modules (``HOT_PATH_FILES``): window statistics there must
-  go through the incremental engine (``core.window_agg``), which
-  advances in O(delta).  The full-recompute parity oracle carries an
-  inline disable — it is the reference the engine is checked against.
+  go through ``core.window_agg`` — the incremental engine, which
+  advances in O(delta), or ``exact_percentiles`` on a sorted window.
 
 Suppression: ``# scoutlint: disable=RULE`` on the offending line, or a
 ``path:rule`` entry in an allowlist file (see ``.scoutlint-allowlist``

@@ -45,6 +45,7 @@ from .generators import (
     _poisson_cdf,
     normal_grid,
     poisson_counts,
+    poisson_counts_grid,
     series_seed,
     uniform_grid,
     uniform_mixed,
@@ -137,6 +138,9 @@ class MonitoringStore:
         self._inactive: set[str] = set()
         # Effects indexed by (dataset, component), kept sorted by start.
         self._effects: dict[tuple[str, str], list[FailureEffect]] = defaultdict(list)
+        # Injected-effect count per dataset, kept in step with _effects
+        # so effects_token() is a dict lookup instead of a registry scan.
+        self._effect_totals: dict[str, int] = {}
         self._seed_memo: dict[tuple[str, str], int] = {}
         # Columnar shard state (enable_shards()): the chunk cache, its
         # config (kept separately so pickled stores re-enable shards in
@@ -300,9 +304,13 @@ class MonitoringStore:
         effects = self._effects[(effect.dataset, effect.component)]
         effects.append(effect)
         effects.sort(key=lambda e: e.start)
+        self._effect_totals[effect.dataset] = (
+            self._effect_totals.get(effect.dataset, 0) + 1
+        )
 
     def clear_effects(self) -> None:
         self._effects.clear()
+        self._effect_totals.clear()
         self._effects_gen += 1
 
     def snapshot_effects(self) -> dict:
@@ -314,6 +322,11 @@ class MonitoringStore:
         self._effects = defaultdict(
             list, {key: list(value) for key, value in snapshot.items()}
         )
+        self._effect_totals = {}
+        for (dataset, _), effects in self._effects.items():
+            self._effect_totals[dataset] = (
+                self._effect_totals.get(dataset, 0) + len(effects)
+            )
         self._effects_gen += 1
 
     def effects_for(self, dataset: str, component: str) -> list[FailureEffect]:
@@ -341,15 +354,11 @@ class MonitoringStore:
         global counter plus the dataset's total injected-effect count.
         Anything pooled across the dataset's components — the feature
         engine's per-type event totals — stays valid exactly as long as
-        this token is unchanged.  The scan is O(pairs carrying effects),
-        which is zero on the healthy serving path.
+        this token is unchanged.  The total is maintained by
+        :meth:`inject`, :meth:`clear_effects` and
+        :meth:`restore_effects`, so the token is O(1).
         """
-        total = sum(
-            len(effects)
-            for (name, _), effects in self._effects.items()
-            if name == dataset
-        )
-        return (self._effects_gen, total)
+        return (self._effects_gen, self._effect_totals.get(dataset, 0))
 
     def _effects_overlap(
         self, dataset: str, component: str, t_lo: float, t_hi: float
@@ -897,40 +906,56 @@ class MonitoringStore:
     ) -> list[dict[str, int] | None]:
         """Batched :meth:`query_event_type_counts` (one entry per component).
 
-        With shards enabled the covered components' chunks materialize
-        together (one generator grid per missing chunk number); each
-        entry is bit-identical to the scalar query's answer.
+        Each entry is bit-identical to the scalar query's answer.  With
+        shards enabled the covered components' chunks materialize
+        together (one generator grid per missing chunk number);
+        otherwise the Poisson bin counts of every component hash
+        through one :func:`poisson_counts_grid` call per event type.
         """
         schema = self.schema(dataset)
         if schema.kind is not DataKind.EVENT:
             raise ValueError(f"{dataset} is not EVENT")
         if t1 < t0:
             raise ValueError("query window end must be >= start")
-        if not self.is_active(dataset):
-            return [None] * len(components)
-        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
-        last = int(np.floor(t1 / _EVENT_BIN))
-        if self._shards is None or last < first:
-            return [
-                self.query_event_type_counts(dataset, component, t0, t1)
-                if schema.covers(component.kind)
-                else None
-                for component in components
-            ]
         out: list[dict[str, int] | None] = [None] * len(components)
+        if not self.is_active(dataset):
+            return out
         covered = [
             (i, c) for i, c in enumerate(components) if schema.covers(c.kind)
         ]
         if not covered:
             return out
+        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
+        last = int(np.floor(t1 / _EVENT_BIN))
         names = [c.name for _, c in covered]
         seeds = [self._series_seed(dataset, name) for name in names]
-        per_name = self._shard_event_chunks_batch(
-            dataset, names, schema, seeds, first, last
-        )
-        size = self._shards.config.event_chunk
-        for (i, component), chunks in zip(covered, per_name):
-            counts = _event_counts_from_chunks(chunks, size, first, last)
+        if last < first:
+            per_row: list[dict[str, int]] = [{} for _ in covered]
+        elif self._shards is not None:
+            per_name = self._shard_event_chunks_batch(
+                dataset, names, schema, seeds, first, last
+            )
+            size = self._shards.config.event_chunk
+            per_row = [
+                _event_counts_from_chunks(chunks, size, first, last)
+                for chunks in per_name
+            ]
+        else:
+            # One hash grid per event type covers every (device, bin)
+            # pair; row sums are the scalar query's poisson_counts sums.
+            indices = np.arange(first, last + 1, dtype=np.uint64)
+            grid_seeds = np.array(seeds, dtype=np.uint64)
+            per_row = [{} for _ in covered]
+            for stream, (event_type, hourly_rate) in enumerate(
+                sorted(schema.events.rates.items())
+            ):
+                lam = hourly_rate * _EVENT_BIN / _HOUR
+                totals = poisson_counts_grid(
+                    grid_seeds, indices, lam, stream=stream + 1
+                ).sum(axis=1)
+                for counts, total in zip(per_row, totals.tolist()):
+                    counts[event_type] = total
+        for (i, component), counts in zip(covered, per_row):
             self._add_burst_counts(dataset, component.name, t0, t1, counts)
             out[i] = counts
         return out

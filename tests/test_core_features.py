@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core import ComponentExtractor, FeatureBuilder, STAT_NAMES
 from repro.core.features import _stats
+from repro.core.selector import Route
 from repro.datacenter import ComponentKind
 from repro.monitoring import FailureEffect, FakeClock
 from repro.obs import Observability
+from tests.oracles import reference_stats
 
 _T = 86400.0 * 320  # beyond the workload horizon: guaranteed-healthy signals
 
@@ -59,7 +64,7 @@ class TestCacheLifetimes:
         builder.clear_cache()
         assert not builder._series_memo
         assert not builder._norm_memo
-        assert not builder._events_memo
+        assert not builder._type_counts_memo
 
     def test_observables_memo_survives_clear_cache(self, builder, sim):
         cluster = sim.topology.components(ComponentKind.CLUSTER)[0]
@@ -212,6 +217,126 @@ class TestDegenerateWindows:
 
     def test_degenerate_stats_are_deterministic(self):
         assert np.array_equal(_stats(np.array([7.25])), _stats(np.array([7.25])))
+
+
+class TestStatsReplica:
+    """``_stats`` (one sort + ``exact_percentiles``) equals np.percentile.
+
+    Byte equality holds for finite, zero-canonical windows — what
+    z-scoring produces — so generated windows are canonicalized with
+    ``+ 0.0`` (np.percentile itself orders tied -0.0/+0.0 arbitrarily).
+    """
+
+    @pytest.mark.parametrize("values", [[], [3.5], [1.0, 3.0], [3.0, -1.0]])
+    def test_small_sizes(self, values):
+        pooled = np.array(values, dtype=float)
+        assert _stats(pooled).tobytes() == reference_stats(pooled).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(0, 400),
+            elements=st.floats(
+                -1e6, 1e6, allow_nan=False, allow_infinity=False
+            ),
+        )
+    )
+    def test_generated_windows(self, pooled):
+        pooled = pooled + 0.0
+        assert _stats(pooled).tobytes() == reference_stats(pooled).tobytes()
+
+    def test_ties_and_z_scored_windows(self):
+        rng = np.random.default_rng(41)
+        for size in (2, 3, 17, 288, 1001):
+            raw = rng.normal(size=size)
+            z = (raw - raw.mean()) / raw.std()
+            tied = np.round(raw, 1) + 0.0
+            for pooled in (z, tied):
+                assert (
+                    _stats(pooled).tobytes()
+                    == reference_stats(pooled).tobytes()
+                )
+
+
+class TestMaterializedEventReference:
+    """Default-path vectors and verdicts equal a plain reference.
+
+    The reference materializes every event through ``query_events`` and
+    counts it with ``count_of``, and computes percentiles with
+    ``np.percentile``.
+    """
+
+    @staticmethod
+    def _pull_events_materialized(self, feature, components, t):
+        if not self.store.is_active(feature.locator):
+            return float("nan")
+        T = self.config.lookback
+        kinds = self.store.schema(feature.locator).component_kinds
+        count = 0
+        for component in components:
+            for device in self._observables(component, kinds):
+                events = self.store.query_events(
+                    feature.locator, device, t - T, t
+                )
+                if events is not None:
+                    count += events.count_of(feature.event_type)
+        return float(count)
+
+    @staticmethod
+    def _device_counts_materialized(self, locator, devices, t0, t1):
+        out = []
+        for device in devices:
+            events = self.store.query_events(locator, device, t0, t1)
+            out.append(None if events is None else events.count_by_type())
+        return out
+
+    @staticmethod
+    def _run(scout, incidents):
+        vectors, signals, verdicts = [], [], []
+        for incident in incidents:
+            extracted = scout.extractor.extract(incident.text)
+            if not extracted.is_empty:
+                scout.builder.begin_incident()
+                vectors.append(
+                    scout.builder.features(extracted, incident.created_at)
+                )
+                vector, triggers = scout.cpd.signals(
+                    extracted, incident.created_at
+                )
+                signals.append((vector.tobytes(), tuple(triggers)))
+            p = scout.predict(incident)
+            verdicts.append((
+                p.responsible, p.confidence, p.route, p.novelty,
+                p.explanation.triggers, p.explanation.notes,
+                [(a.feature, a.contribution) for a in p.explanation.attributions],
+            ))
+        return np.vstack(vectors), signals, verdicts
+
+    def test_vectors_and_verdicts_match(self, scout, incidents, monkeypatch):
+        import repro.core.features as features_module
+
+        subset = incidents[:80]
+        got = self._run(scout, subset)
+        monkeypatch.setattr(features_module, "_stats", reference_stats)
+        monkeypatch.setattr(
+            FeatureBuilder, "_pull_events", self._pull_events_materialized
+        )
+        monkeypatch.setattr(
+            FeatureBuilder, "device_event_counts",
+            self._device_counts_materialized,
+        )
+        want = self._run(scout, subset)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        # The set exercises nonzero event counts and both model routes.
+        schema = scout.builder.schema
+        start = len(schema.ts_groups) * len(STAT_NAMES)
+        counts = got[0][:, start : start + len(schema.event_features)]
+        assert np.nansum(counts) > 0
+        routes = {verdict[2] for verdict in got[2]}
+        assert {Route.SUPERVISED, Route.UNSUPERVISED} <= routes
 
 
 class TestBuilderInstrumentation:

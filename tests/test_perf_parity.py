@@ -16,6 +16,7 @@ from repro.datacenter.components import ComponentKind
 from repro.ml import RandomForestClassifier
 from repro.ml.cpd import CusumDetector
 from repro.ml.tree import DecisionTreeClassifier
+from repro.monitoring import FailureEffect
 from repro.monitoring.base import DataKind
 from repro.monitoring.generators import (
     normal_at,
@@ -131,16 +132,49 @@ def test_query_series_batch_matches_scalar(sim):
                     assert np.array_equal(want.values, got.values)
 
 
-def test_query_events_batch_matches_scalar(sim):
-    store = sim.store
-    devices = _devices(sim)
-    names = [
+def _event_datasets(store) -> list[str]:
+    return [
         n for n in store.dataset_names
         if store.schema(n).kind is DataKind.EVENT
     ]
+
+
+# Event-query windows: early history, one crossing the burst effects of
+# ``burst_store``, and a 20-second window inside one event bin (its bin
+# range is empty, ``last < first``, but bursts still land in it).
+_EVENT_WINDOWS = [(0.0, 7200.0), (4e6, 4e6 + 7200.0), (4e6 + 30.0, 4e6 + 50.0)]
+
+
+@pytest.fixture()
+def burst_store(sim):
+    """The session store plus burst effects on every event dataset.
+
+    Each dataset gets one burst of a schema type and one of a type the
+    schema does not declare, on the first device it covers; the
+    session's effect registry is restored afterwards.
+    """
+    store = sim.store
+    snapshot = store.snapshot_effects()
+    devices = _devices(sim)
+    for name in _event_datasets(store):
+        schema = store.schema(name)
+        target = next(d for d in devices if schema.covers(d.kind))
+        for event_type in (sorted(schema.events.rates)[0], "injected"):
+            store.inject(FailureEffect(
+                name, target.name, 4e6 + 10.0, 4e6 + 3600.0,
+                mode="burst", event_type=event_type, rate=30.0,
+            ))
+    yield store
+    store.restore_effects(snapshot)
+
+
+def test_query_events_batch_matches_scalar(burst_store, sim):
+    store = burst_store
+    devices = _devices(sim)
+    names = _event_datasets(store)
     assert names
     for name in names:
-        for window in [(0.0, 7200.0), (4e6, 4e6 + 7200.0)]:
+        for window in _EVENT_WINDOWS:
             batch = store.query_events_batch(name, devices, *window)
             for device, got in zip(devices, batch):
                 want = store.query_events(name, device, *window)
@@ -149,6 +183,53 @@ def test_query_events_batch_matches_scalar(sim):
                 else:
                     assert np.array_equal(want.timestamps, got.timestamps)
                     assert want.types == got.types
+
+
+def test_query_event_type_counts_batch_matches_scalar(burst_store, sim):
+    store = burst_store
+    assert not store.shards_enabled  # the generated (non-shard) branch
+    devices = _devices(sim)
+    seen_burst = seen_uncovered = False
+    for name in _event_datasets(store):
+        schema_types = set(store.schema(name).events.rates)
+        for window in _EVENT_WINDOWS:
+            batch = store.query_event_type_counts_batch(name, devices, *window)
+            assert len(batch) == len(devices)
+            for device, got in zip(devices, batch):
+                assert got == store.query_event_type_counts(
+                    name, device, *window
+                )
+                events = store.query_events(name, device, *window)
+                if events is None:
+                    assert got is None
+                    seen_uncovered = True
+                    continue
+                assert {t: n for t, n in got.items() if n} == (
+                    events.count_by_type()
+                )
+                # Quiet schema types are explicit zeros whenever the
+                # window spans an event bin.
+                if window[1] - window[0] >= 60.0:
+                    assert schema_types <= set(got)
+                seen_burst = seen_burst or got.get("injected", 0) > 0
+    assert seen_burst and seen_uncovered
+
+
+def test_query_event_type_counts_batch_inactive_dataset(sim):
+    store = sim.store
+    devices = _devices(sim)
+    name = _event_datasets(store)[0]
+    store.deactivate(name)
+    try:
+        for window in _EVENT_WINDOWS:
+            batch = store.query_event_type_counts_batch(name, devices, *window)
+            assert batch == [None] * len(devices)
+            assert all(
+                store.query_event_type_counts(name, d, *window) is None
+                for d in devices
+            )
+    finally:
+        store.activate(name)
 
 
 def test_event_series_count_of_matches_scan(sim):
@@ -205,13 +286,13 @@ def test_feature_builder_batch_prefetch_matches_scalar(framework, incidents, mon
 
     subset = incidents[:25]
     monkeypatch.setattr(
-        FeatureBuilder, "prefetch_series", lambda self, *a, **k: None
+        FeatureBuilder, "_prefetch_series", lambda self, *a, **k: None
     )
     monkeypatch.setattr(
         FeatureBuilder, "_prefetch_normalized", lambda self, *a, **k: None
     )
     monkeypatch.setattr(
-        FeatureBuilder, "prefetch_events", lambda self, *a, **k: None
+        FeatureBuilder, "_prefetch_type_counts", lambda self, *a, **k: None
     )
     scalar = framework.dataset(subset)
     monkeypatch.undo()

@@ -1,9 +1,11 @@
 """Sliding-window aggregation: exact parity and O(delta) accounting.
 
-``WindowAggregator.stats`` claims byte-identical output to the feature
-builder's full-recompute ``_stats`` on the pooled concatenation; these
-tests hold it to that claim across random pools, degenerate windows,
-and advance sequences, and pin the sketch's documented tolerance.
+``WindowAggregator.stats`` claims byte-identical output to the full
+recompute on the pooled concatenation; these tests hold it to that
+claim — against the ``np.percentile`` reference in ``tests/oracles.py``,
+since the builder's ``_stats`` shares ``exact_percentiles`` with the
+engine — across random pools, degenerate windows, and advance sequences, and
+pin the sketch's documented tolerance.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.features import _PERCENTILES, _stats
+from repro.core.features import _PERCENTILES
 from repro.core.window_agg import (
     Block,
     BucketQuantiles,
     WindowAggregator,
     exact_percentiles,
 )
+from tests.oracles import reference_stats
 
 
 def _random_pool(rng, n_blocks: int, max_len: int = 40) -> list[np.ndarray]:
@@ -83,7 +86,7 @@ class TestWindowAggregator:
             _advance(agg, windows)
             nonempty = [w for w in windows if w.size]
             if nonempty:
-                want = _stats(np.concatenate(nonempty))
+                want = reference_stats(np.concatenate(nonempty))
             else:
                 want = np.zeros(4 + len(_PERCENTILES))
             got = agg.stats(_PERCENTILES)
@@ -97,7 +100,7 @@ class TestWindowAggregator:
         )
         _advance(agg, [np.array([2.5])])
         got = agg.stats(_PERCENTILES)
-        assert np.array_equal(got, _stats(np.array([2.5])))
+        assert np.array_equal(got, reference_stats(np.array([2.5])))
         assert got[1] == 0.0 and np.all(got[4:] == 0.0)
 
     def test_advance_accounting(self):
@@ -119,7 +122,7 @@ class TestWindowAggregator:
         assert agg.advance([("a", a), ("a", a)]) == (10, 0)
         assert agg.advance([("a", a)]) == (0, 5)
         assert np.array_equal(
-            agg.stats(_PERCENTILES), _stats(np.ones(5))
+            agg.stats(_PERCENTILES), reference_stats(np.ones(5))
         )
 
     def test_unchanged_window_is_zero_delta(self):
@@ -135,7 +138,7 @@ class TestWindowAggregator:
         block = Block(w)
         agg.advance([("k", block), ("k", block)])
         assert np.array_equal(
-            agg.stats(_PERCENTILES), _stats(np.concatenate([w, w]))
+            agg.stats(_PERCENTILES), reference_stats(np.concatenate([w, w]))
         )
 
 
@@ -190,7 +193,7 @@ class TestBucketQuantiles:
         agg.advance([("b", b)])
         assert sketch.total == b.count
         got = agg.stats(_PERCENTILES)
-        exact = _stats(b.values)
+        exact = reference_stats(b.values)
         # mean/std/min/max stay exact under the sketch; quantile slots
         # carry the documented half-bucket tolerance against the lower
         # order statistic.
