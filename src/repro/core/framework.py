@@ -53,8 +53,9 @@ class TrainingOptions:
     mistake_boost: float = 2.0
     rng: int = 0
     # Worker processes for forest fitting and dataset featurization:
-    # 1 = serial, None/-1 = all cores.  Any value yields bit-identical
-    # models and features (§7 reproducibility) — only wall-clock changes.
+    # 1 = serial, None/-1 = all cores (an upper bound: small forests fit
+    # in process).  Any value yields bit-identical models, features and
+    # bundle bytes (§7 reproducibility) — only wall-clock changes.
     n_jobs: int | None = 1
 
 

@@ -160,6 +160,18 @@ def _gini(class_weights: np.ndarray) -> float:
     return float(1.0 - np.dot(p, p))
 
 
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` over a trailing class axis, bit for bit.
+
+    numpy reduces a length-2 axis one element pair at a time, roughly
+    ten times slower than one elementwise add; for two classes the add
+    is the same sum (two terms associate one way).
+    """
+    if a.shape[-1] == 2:
+        return a[..., 0] + a[..., 1]
+    return a.sum(axis=-1)
+
+
 class DecisionTreeClassifier(Classifier):
     """A CART classifier (gini criterion, binary numeric splits).
 
@@ -245,52 +257,69 @@ class DecisionTreeClassifier(Classifier):
     def _build(self, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> TreeNode:
         """Grow the tree depth-first with an explicit stack.
 
-        The stack replaces recursion so arbitrarily deep trees (no
-        ``max_depth``) cannot hit Python's recursion limit.  Children
-        are pushed right-then-left, preserving the preorder in which the
-        recursive formulation consumed the feature-subsampling rng.
+        Nodes carry index arrays into the full ``X`` rather than copies
+        of their rows; a split gathers only the candidate columns it
+        scores.  Index arrays keep the rows in their original relative
+        order, so every node sees its samples in the order a
+        copy-per-node fit would.  The stack replaces recursion so
+        arbitrarily deep trees (no ``max_depth``) cannot hit Python's
+        recursion limit.  Children are pushed right-then-left,
+        preserving the preorder in which the recursive formulation
+        consumed the feature-subsampling rng.
         """
         root, counts, total = self._make_node(y, w, depth=0)
-        stack: list[tuple[TreeNode, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = [
-            (root, X, y, w, counts, total)
+        stack: list[tuple[TreeNode, np.ndarray, np.ndarray, float]] = [
+            (root, np.arange(len(y)), counts, total)
         ]
         while stack:
-            node, Xn, yn, wn, counts, total = stack.pop()
+            node, rows, counts, total = stack.pop()
             if (
-                len(yn) < self.min_samples_split
+                len(rows) < self.min_samples_split
                 or (self.max_depth is not None and node.depth >= self.max_depth)
                 or np.count_nonzero(counts) <= 1
             ):
                 continue
-            split = self._best_split(Xn, yn, wn, counts)
+            split = self._best_split(X, rows, y[rows], w[rows], counts)
             if split is None:
                 continue
             feature, threshold, gain = split
             node.feature = feature
             node.threshold = threshold
             self._feature_importance_acc[feature] += gain * total
-            mask = Xn[:, feature] <= threshold
-            inv = ~mask
+            mask = X[rows, feature] <= threshold
+            left_rows = rows[mask]
+            right_rows = rows[~mask]
             left, lcounts, ltotal = self._make_node(
-                yn[mask], wn[mask], node.depth + 1
+                y[left_rows], w[left_rows], node.depth + 1
             )
             right, rcounts, rtotal = self._make_node(
-                yn[inv], wn[inv], node.depth + 1
+                y[right_rows], w[right_rows], node.depth + 1
             )
             node.left = left
             node.right = right
-            stack.append((right, Xn[inv], yn[inv], wn[inv], rcounts, rtotal))
-            stack.append((left, Xn[mask], yn[mask], wn[mask], lcounts, ltotal))
+            stack.append((right, right_rows, rcounts, rtotal))
+            stack.append((left, left_rows, lcounts, ltotal))
         return root
 
     def _best_split(
         self,
         X: np.ndarray,
+        rows: np.ndarray,
         y: np.ndarray,
         w: np.ndarray,
         counts: np.ndarray,
     ) -> tuple[int, float, float] | None:
-        """Find the (feature, threshold) pair with the best gini gain."""
+        """Find the (feature, threshold) pair with the best gini gain.
+
+        Scores every candidate feature of the node at once: column ``j``
+        of the ``(n - 1, F)`` gain matrix holds the gains of splitting
+        after each sorted position of candidate ``j``, with positions
+        that are no valid split (tied values, a leaf below
+        ``min_samples_leaf`` samples or without weight) at ``-inf``.
+        The winner is the first candidate, in draw order, whose best
+        gain beats the best so far by more than ``1e-12``; within a
+        column the first maximal position wins.
+        """
         parent_impurity = _gini(counts)
         if parent_impurity == 0.0:
             return None
@@ -302,54 +331,48 @@ class DecisionTreeClassifier(Classifier):
         else:
             features = np.arange(self.n_features_)
 
+        n = len(y)
+        values = X[np.ix_(rows, features)]
+        order = np.argsort(values, axis=0, kind="stable")
+        sorted_values = np.take_along_axis(values, order, axis=0)
+        onehot = np.zeros((n, self._n_classes))
+        onehot[np.arange(n), y] = w
+        # Weighted class counts left of a split after each sorted
+        # position, shape (n - 1, F, n_classes).
+        left = np.cumsum(onehot[order[:-1]], axis=0)
+        right = counts - left
+        left_total = _class_sum(left)
+        right_total = _class_sum(right)
+        positions = np.arange(n - 1)
+        min_leaf = self.min_samples_leaf
+        big_enough = (positions + 1 >= min_leaf) & (n - positions - 1 >= min_leaf)
+        valid = (
+            (np.diff(sorted_values, axis=0) > 0)
+            & big_enough[:, None]
+            & (left_total > 0)
+            & (right_total > 0)
+        )
+        # Invalid positions may divide by a zero total; they are masked.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left_gini = 1.0 - _class_sum((left / left_total[..., None]) ** 2)
+            right_gini = 1.0 - _class_sum((right / right_total[..., None]) ** 2)
+            weighted = (
+                left_total * left_gini + right_total * right_gini
+            ) / w.sum()
+        gains = np.where(valid, parent_impurity - weighted, -np.inf)
+        best_positions = np.argmax(gains, axis=0)
+        column_best = gains[best_positions, np.arange(len(features))]
+
         best: tuple[int, float, float] | None = None
         best_score = 0.0
-        total_weight = w.sum()
-        onehot = np.zeros((len(y), self._n_classes))
-        onehot[np.arange(len(y)), y] = w
-        min_leaf = self.min_samples_leaf
-
-        for feature in features:
-            values = X[:, feature]
-            order = np.argsort(values, kind="stable")
-            sorted_values = values[order]
-            # Cumulative weighted class counts for the "left" side.
-            left_counts = np.cumsum(onehot[order], axis=0)
-            # Valid split positions: value changes and both leaves large
-            # enough (in sample count).
-            diffs = np.diff(sorted_values)
-            positions = np.flatnonzero(diffs > 0)
-            if positions.size == 0:
-                continue
-            positions = positions[
-                (positions + 1 >= min_leaf)
-                & (len(y) - positions - 1 >= min_leaf)
-            ]
-            if positions.size == 0:
-                continue
-            left = left_counts[positions]
-            right = counts - left
-            left_total = left.sum(axis=1)
-            right_total = right.sum(axis=1)
-            ok = (left_total > 0) & (right_total > 0)
-            if not np.any(ok):
-                continue
-            left_gini = 1.0 - np.sum(
-                (left[ok] / left_total[ok, None]) ** 2, axis=1
-            )
-            right_gini = 1.0 - np.sum(
-                (right[ok] / right_total[ok, None]) ** 2, axis=1
-            )
-            weighted = (
-                left_total[ok] * left_gini + right_total[ok] * right_gini
-            ) / total_weight
-            gains = parent_impurity - weighted
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_score + 1e-12:
-                pos = positions[ok][best_local]
-                threshold = 0.5 * (sorted_values[pos] + sorted_values[pos + 1])
-                best_score = float(gains[best_local])
-                best = (int(feature), float(threshold), best_score)
+        for j, gain in enumerate(column_best.tolist()):
+            if gain > best_score + 1e-12:
+                pos = best_positions[j]
+                threshold = 0.5 * (
+                    sorted_values[pos, j] + sorted_values[pos + 1, j]
+                )
+                best_score = gain
+                best = (int(features[j]), float(threshold), best_score)
         return best
 
     # -- prediction --------------------------------------------------------

@@ -8,8 +8,11 @@ that touch it).
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+import repro.ml.forest as forest_module
 from repro.config import phynet_config
 from repro.core import ScoutFramework, TrainingOptions
 from repro.datacenter import TopologySpec
@@ -62,3 +65,17 @@ def split(dataset):
 def scout(framework, split):
     train, _ = split
     return framework.train(train)
+
+
+@pytest.fixture()
+def forest_pools(monkeypatch) -> list[int]:
+    """Records the worker count of every process pool a forest fit starts."""
+    started: list[int] = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(forest_module, "ProcessPoolExecutor", RecordingPool)
+    return started

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.features import _PERCENTILES, STAT_NAMES
+from repro.ml.tree import DecisionTreeClassifier, TreeNode, _gini
 
 
 def reference_stats(pooled: np.ndarray) -> np.ndarray:
@@ -26,3 +27,107 @@ def reference_stats(pooled: np.ndarray) -> np.ndarray:
     out[1] = pooled.std()
     out[4:] = np.percentile(pooled, _PERCENTILES)
     return out
+
+
+class ReferenceTree(DecisionTreeClassifier):
+    """The copy-per-node, one-feature-at-a-time CART fit.
+
+    ``DecisionTreeClassifier`` grows on row indices and scores every
+    candidate feature of a node in one vectorized pass; this is the
+    straightforward formulation it must reproduce bit for bit (same
+    nodes, thresholds, importances and rng consumption): every child
+    receives copies of its rows, and ``_best_split`` loops over the
+    candidate features, keeping the first whose gain beats the best so
+    far by more than ``1e-12``.
+    """
+
+    def _build(self, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> TreeNode:
+        root, counts, total = self._make_node(y, w, depth=0)
+        stack = [(root, X, y, w, counts, total)]
+        while stack:
+            node, Xn, yn, wn, counts, total = stack.pop()
+            if (
+                len(yn) < self.min_samples_split
+                or (self.max_depth is not None and node.depth >= self.max_depth)
+                or np.count_nonzero(counts) <= 1
+            ):
+                continue
+            split = self._best_split(Xn, yn, wn, counts)
+            if split is None:
+                continue
+            feature, threshold, gain = split
+            node.feature = feature
+            node.threshold = threshold
+            self._feature_importance_acc[feature] += gain * total
+            mask = Xn[:, feature] <= threshold
+            inv = ~mask
+            left, lcounts, ltotal = self._make_node(
+                yn[mask], wn[mask], node.depth + 1
+            )
+            right, rcounts, rtotal = self._make_node(
+                yn[inv], wn[inv], node.depth + 1
+            )
+            node.left = left
+            node.right = right
+            stack.append((right, Xn[inv], yn[inv], wn[inv], rcounts, rtotal))
+            stack.append((left, Xn[mask], yn[mask], wn[mask], lcounts, ltotal))
+        return root
+
+    def _best_split(self, X, y, w, counts):
+        parent_impurity = _gini(counts)
+        if parent_impurity == 0.0:
+            return None
+        n_candidates = self._n_candidate_features()
+        if n_candidates < self.n_features_:
+            features = self._rng.choice(
+                self.n_features_, size=n_candidates, replace=False
+            )
+        else:
+            features = np.arange(self.n_features_)
+
+        best = None
+        best_score = 0.0
+        total_weight = w.sum()
+        onehot = np.zeros((len(y), self._n_classes))
+        onehot[np.arange(len(y)), y] = w
+        min_leaf = self.min_samples_leaf
+
+        for feature in features:
+            values = X[:, feature]
+            order = np.argsort(values, kind="stable")
+            sorted_values = values[order]
+            left_counts = np.cumsum(onehot[order], axis=0)
+            diffs = np.diff(sorted_values)
+            positions = np.flatnonzero(diffs > 0)
+            if positions.size == 0:
+                continue
+            positions = positions[
+                (positions + 1 >= min_leaf)
+                & (len(y) - positions - 1 >= min_leaf)
+            ]
+            if positions.size == 0:
+                continue
+            left = left_counts[positions]
+            right = counts - left
+            left_total = left.sum(axis=1)
+            right_total = right.sum(axis=1)
+            ok = (left_total > 0) & (right_total > 0)
+            if not np.any(ok):
+                continue
+            left_gini = 1.0 - np.sum(
+                (left[ok] / left_total[ok, None]) ** 2, axis=1
+            )
+            right_gini = 1.0 - np.sum(
+                (right[ok] / right_total[ok, None]) ** 2, axis=1
+            )
+            weighted = (
+                left_total[ok] * left_gini + right_total[ok] * right_gini
+            ) / total_weight
+            gains = parent_impurity - weighted
+            best_local = int(np.argmax(gains))
+            if gains[best_local] > best_score + 1e-12:
+                pos = positions[ok][best_local]
+                threshold = 0.5 * (sorted_values[pos] + sorted_values[pos + 1])
+                best_score = float(gains[best_local])
+                best = (int(feature), float(threshold), best_score)
+        return best

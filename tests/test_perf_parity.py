@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.ml.forest as forest_module
 from repro.datacenter.components import ComponentKind
 from repro.ml import RandomForestClassifier
 from repro.ml.cpd import CusumDetector
@@ -67,14 +68,28 @@ def test_deep_tree_introspection_is_iterative():
 # -- forest parallelism ----------------------------------------------------
 
 
-def test_forest_parallel_matches_serial(data):
+def test_forest_parallel_matches_serial(data, forest_pools, monkeypatch):
     X, y = data
+    # 12 trees x 400 rows is below the pool threshold; lower it so the
+    # n_jobs=2 fit really runs in a process pool.
+    monkeypatch.setattr(forest_module, "_POOL_MIN_TREE_ROWS", 0)
     serial = RandomForestClassifier(n_estimators=12, rng=9, n_jobs=1).fit(X, y)
+    assert forest_pools == []
     parallel = RandomForestClassifier(n_estimators=12, rng=9, n_jobs=2).fit(X, y)
+    assert forest_pools == [2]
     assert np.array_equal(serial.predict_proba(X), parallel.predict_proba(X))
     assert np.array_equal(
         serial.feature_importances_, parallel.feature_importances_
     )
+
+
+def test_small_forest_fits_in_process(data, forest_pools):
+    X, y = data
+    assert 12 * len(y) < forest_module._POOL_MIN_TREE_ROWS
+    forest = RandomForestClassifier(n_estimators=12, rng=9, n_jobs=2).fit(X, y)
+    assert forest_pools == []
+    serial = RandomForestClassifier(n_estimators=12, rng=9, n_jobs=1).fit(X, y)
+    assert np.array_equal(serial.predict_proba(X), forest.predict_proba(X))
 
 
 # -- batched generators ----------------------------------------------------
