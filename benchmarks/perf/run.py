@@ -56,6 +56,9 @@ Metrics (all wall-clock seconds):
   stall; see ``fleet_routing.py``).  ``fleet_ips`` and
   ``fleet_speedup_x`` join the higher-is-better gate; the determinism
   flag asserts byte-identical decision logs across worker counts.
+  ``fleet_speedup_x`` measures how well the pool overlaps the stall;
+  ``fleet_score_ips`` (in-process, no stall) measures the scoring work
+  itself and is reported ungated until ``BENCH_scout.json`` records it.
 """
 
 from __future__ import annotations

@@ -26,13 +26,16 @@ for that at fleet scale.  This module is the serving layer for it:
 * **Sharded multi-process serving.**  Scouts are partitioned into a
   fixed number of shards; scoring fans out one task per (shard,
   incident-chunk) over a ``ProcessPoolExecutor`` so the fleet escapes
-  the GIL.  Worker processes memoize their shard context and open the
-  roster's signal matrix as a **read-only memmap** — the parent
-  materializes it once on disk and workers never re-pickle or rebuild
-  it.  Workers are *pure*: a task's result is a function of the task
-  alone, so decisions, decision logs, and the Prometheus exposition
-  are byte-identical across worker counts and across process-pool vs.
-  in-process execution.
+  the GIL.  A task is one array kernel over the shard's Scouts and the
+  chunk's incidents, and returns its verdicts, confidences, attempts
+  and ok flags as columns; the parent composes chunk *k* while later
+  chunks still score.  Each server owns its shard context; pool
+  workers receive a copy once and open the roster's signal matrix as
+  a **read-only memmap** — the parent materializes it once on disk and
+  workers never re-pickle or rebuild it.  Tasks are *pure*: a task's
+  result is a function of the task alone, so decisions, decision logs,
+  and the Prometheus exposition are byte-identical across worker
+  counts and across process-pool vs. in-process execution.
 * **Per-Scout resilience, parent-side.**  The existing
   :class:`~.breaker.CircuitBreaker` machinery guards each fleet Scout
   exactly as :class:`~.manager.IncidentManager` guards its Scouts, and
@@ -58,11 +61,14 @@ import os
 import struct
 import tempfile
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property, partial
 from multiprocessing import get_context
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..analysis.calibration import ReliabilityBucket, reliability_curve
 from ..incidents.incident import Incident
@@ -113,9 +119,16 @@ class FleetRoster:
     def teams(self) -> list[str]:
         return [spec.team for spec in self.specs]
 
+    @cached_property
+    def _regions(self) -> dict[str, list[str]]:
+        regions: dict[str, list[str]] = {}
+        for spec in self.specs:
+            regions.setdefault(spec.base, []).append(spec.team)
+        return regions
+
     def regions_of(self, base: str) -> list[str]:
         """Region-qualified names carrying one base team, sorted."""
-        return [spec.team for spec in self.specs if spec.base == base]
+        return list(self._regions.get(base, ()))
 
     def assign(self, base: str, incident_id: int) -> str:
         """The region-qualified truth team for one incident.
@@ -124,7 +137,7 @@ class FleetRoster:
         universe; the fleet spreads incidents across its regional
         copies deterministically by incident id.
         """
-        names = self.regions_of(base)
+        names = self._regions.get(base)
         if not names:
             return base
         return names[incident_id % len(names)]
@@ -195,143 +208,228 @@ def build_fleet_roster(n_teams: int = 120, seed: int = 0) -> FleetRoster:
 
 # -- deterministic draws ------------------------------------------------------
 
+_U64 = struct.Struct(">Q")
 
-def _draw(seed: int, *parts) -> float:
+
+def _draw(key: str) -> float:
     """A uniform [0, 1) draw addressed by content, not by stream order.
 
     Every stochastic decision the fleet makes draws through here, keyed
-    on what the draw is *for* — there is no shared RNG whose stream
-    order could couple results to scheduling or worker count.
+    on what the draw is *for* — ``f"{seed}|{purpose}|{team}|{incident}"``
+    plus the attempt for retries — so there is no shared RNG whose
+    stream order could couple results to scheduling or worker count.
     """
-    digest = hashlib.sha256(
-        ("|".join(str(p) for p in (seed, *parts))).encode()
-    ).digest()
-    return struct.unpack(">Q", digest[:8])[0] / 2.0**64
+    return _U64.unpack_from(hashlib.sha256(key.encode()).digest())[0] / 2.0**64
 
 
-def _signal_stat(signals: np.ndarray, row: int, incident_id: int) -> float:
-    """Pool one window of the team's monitoring-shard row.
+def _draws(prefix: str, suffixes: list[bytes]) -> np.ndarray:
+    """:func:`_draw` of every key ``prefix + suffix``, as an array.
 
-    The slice position depends on the incident, so every scoring does
-    real vectorized work against the memmap — this is the chunk the
-    workers must *not* re-materialize per task.
+    The hashed bytes are exactly the keys' bytes; the prefix is hashed
+    once and copied per key, and the leading 8 digest bytes of every
+    key convert to floats in one pass (big-endian ``uint64`` to
+    ``float64`` rounds like Python's ``int / float``).
     """
-    start = incident_id % (_SIGNAL_COLS - _SIGNAL_WINDOW)
-    window = signals[row, start:start + _SIGNAL_WINDOW]
-    return float(window.mean() + window.std())
+    head = hashlib.sha256(prefix.encode())
+    digests = []
+    for suffix in suffixes:
+        h = head.copy()
+        h.update(suffix)
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8")[::4] / 2.0**64
 
 
-def _score_one(
-    spec: FleetScoutSpec,
-    row: int,
-    signals: np.ndarray,
-    incident_id: int,
-    truth_team: str,
-    seed: int,
-    failure_rate: float,
-    max_attempts: int,
-    broken: frozenset[str],
-) -> tuple[str, bool | None, float, int, bool]:
-    """Score one (Scout, incident) pair — the pure worker kernel.
-
-    Returns ``(team, verdict, confidence, attempts, ok)``.  ``ok`` is
-    False when every retry attempt failed (the parent records the
-    failure against the breaker and the Scout contributes no answer).
-    """
-    # Transient-failure model with RetryPolicy semantics: attempt k has
-    # its own content-addressed draw, so a retry genuinely re-rolls.
-    attempts = 0
-    ok = False
-    for attempt in range(max_attempts):
-        attempts += 1
-        if spec.team in broken:
-            continue
-        if _draw(seed, "fail", spec.team, incident_id, attempt) >= failure_rate:
-            ok = True
-            break
-    if not ok:
-        return (spec.team, None, 0.0, attempts, False)
-    truth = truth_team == spec.team
-    correct = _draw(seed, "acc", spec.team, incident_id) < spec.accuracy
-    verdict = truth if correct else (not truth)
-    spread = _draw(seed, "conf", spec.team, incident_id)
-    # The monitoring-shard read perturbs the confidence inside its
-    # Appendix D band — the memmap is load-bearing, not decorative.
-    jitter = _signal_stat(signals, row, incident_id) % 1.0
-    u = (spread + jitter) % 1.0
-    if correct:
-        confidence = 0.8 - spec.beta * u
-    else:
-        confidence = 0.5 + spec.beta * u
-    return (spec.team, verdict, round(confidence, 9), attempts, True)
+# -- the scoring kernel -------------------------------------------------------
 
 
-# -- worker-process plumbing --------------------------------------------------
+@dataclass(frozen=True)
+class _Shard:
+    """One shard's Scouts as columns, in roster-row order."""
 
-# Process-global shard context, keyed by roster token: specs, the
-# team → row index map, and the lazily opened read-only memmap.  A
-# worker reuses one open mapping for its whole life; tasks carry only
-# the token plus the incident chunk.
-_WORKER_CTX: dict = {}
-
-
-def _fleet_worker_init(token: str, payload: dict) -> None:
-    """Executor initializer: stash the shard context once per process."""
-    _WORKER_CTX[token] = dict(payload, signals=None)
+    rows: np.ndarray  # roster rows (signal-matrix rows) of the shard
+    teams: tuple[str, ...]
+    accuracy: np.ndarray
+    beta: np.ndarray
+    broken: np.ndarray  # bool: hard-down Scouts
 
 
-def _worker_signals(ctx: dict) -> np.ndarray:
-    signals = ctx.get("signals")
+def _signals(ctx: dict) -> np.ndarray:
+    """The context's read-only signal memmap, opened on first use."""
+    signals = ctx["signals"]
     if signals is None:
-        signals = np.load(ctx["signal_path"], mmap_mode="r")
-        ctx["signals"] = signals
+        signals = ctx["signals"] = np.load(ctx["signal_path"], mmap_mode="r")
     return signals
 
 
 def _score_chunk(
-    token: str,
+    ctx: dict,
     shard_id: int,
-    pairs: tuple[tuple[int, str], ...],
-) -> list[tuple[int, tuple]]:
+    ids: tuple[int, ...],
+    truths: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score one shard's Scouts over one incident chunk.
 
-    Pure: output depends only on ``(token context, shard_id, pairs)``.
-    The optional ``io_stall_s`` models the network-bound monitoring
-    fetch a real fleet pays once per chunk — it is real wall time (the
-    overlap process workers buy) but never touches the results.
+    Returns ``(ok, verdict, confidence, attempts)``, each shaped
+    ``(len(ids), shard size)`` with columns in the shard's roster order.
+    ``ok`` is False where every retry attempt failed; ``verdict`` and
+    ``confidence`` are meaningful only where ``ok`` (False / 0.0
+    elsewhere).  Pure: output depends only on the context and the
+    arguments.  The optional ``io_stall_s`` models the network-bound
+    monitoring fetch a real fleet pays once per chunk — real wall time
+    (the overlap process workers buy) that never touches the results.
     """
-    ctx = _WORKER_CTX[token]
-    stall = ctx.get("io_stall_s", 0.0)
+    stall = ctx["io_stall_s"]
     if stall:
         # Real wall time is the point: the stall models the
         # network-bound fetch that process workers overlap, and it
         # never reaches any result or logged value.
         time.sleep(stall)  # scoutlint: disable=naked-clock
-    signals = _worker_signals(ctx)
-    specs: list[tuple[int, FleetScoutSpec]] = ctx["shards"][shard_id]
+    shard: _Shard = ctx["shards"][shard_id]
     seed = ctx["seed"]
     failure_rate = ctx["failure_rate"]
     max_attempts = ctx["max_attempts"]
-    broken = ctx["broken"]
-    out = []
-    for incident_id, truth_team in pairs:
-        for row, spec in specs:
-            out.append(
-                (
-                    incident_id,
-                    _score_one(
-                        spec, row, signals, incident_id, truth_team,
-                        seed, failure_rate, max_attempts, broken,
-                    ),
-                )
-            )
-    return out
+    n, m = len(ids), len(shard.teams)
+
+    # Draw-key suffixes, shared by every team of the task.
+    keys = [str(incident_id).encode() for incident_id in ids]
+
+    # Transient-failure model with RetryPolicy semantics: attempt k has
+    # its own content-addressed draw, so a retry genuinely re-rolls.
+    # Draws are never negative, so only a positive rate can fail one.
+    ok = np.ones((n, m), dtype=bool)
+    attempts = np.ones((n, m), dtype=np.int64)
+    ok[:, shard.broken] = False
+    attempts[:, shard.broken] = max_attempts
+    live = np.flatnonzero(~shard.broken).tolist()
+    if failure_rate > 0.0:
+        for j in live:
+            prefix = f"{seed}|fail|{shard.teams[j]}|"
+            failing = np.arange(n)
+            for attempt in range(max_attempts):
+                if not failing.size:
+                    break
+                tail = f"|{attempt}".encode()
+                draws = _draws(prefix, [keys[i] + tail for i in failing])
+                passed = draws >= failure_rate
+                attempts[failing[passed], j] = attempt + 1
+                failing = failing[~passed]
+            ok[failing, j] = False
+            attempts[failing, j] = max_attempts
+
+    acc = np.zeros((n, m))
+    spread = np.zeros((n, m))
+    for j in live:
+        team = shard.teams[j]
+        acc[:, j] = _draws(f"{seed}|acc|{team}|", keys)
+        spread[:, j] = _draws(f"{seed}|conf|{team}|", keys)
+
+    # The monitoring-shard read: each incident's window of every team's
+    # signal row, gathered once per task and reduced along the window
+    # axis (equal, bit for bit, to a per-pair window.mean() + std()).
+    block = _signals(ctx)[shard.rows]
+    starts = [incident_id % (_SIGNAL_COLS - _SIGNAL_WINDOW) for incident_id in ids]
+    windows = sliding_window_view(block, _SIGNAL_WINDOW, axis=1)[:, starts]
+    stat = (windows.mean(axis=2) + windows.std(axis=2)).T
+
+    column = {team: j for j, team in enumerate(shard.teams)}
+    truth = np.zeros((n, m), dtype=bool)
+    for i, team in enumerate(truths):
+        j = column.get(team)
+        if j is not None:
+            truth[i, j] = True
+    correct = acc < shard.accuracy
+    verdict = (truth == correct) & ok
+    # The signal window perturbs the confidence inside its Appendix D
+    # band — the memmap is load-bearing, not decorative.
+    u = (spread + stat % 1.0) % 1.0
+    raw = np.where(correct, 0.8 - shard.beta * u, 0.5 + shard.beta * u)
+    confidence = np.array(
+        [round(c, 9) for c in raw.ravel().tolist()]
+    ).reshape(n, m)
+    confidence[~ok] = 0.0
+    return ok, verdict, confidence, attempts
+
+
+# -- worker-process plumbing --------------------------------------------------
+
+# A pool worker's context: the shards, the draw knobs and the lazily
+# opened read-only memmap.  Each pool belongs to one server, so a worker
+# process holds exactly one context, installed once by the executor
+# initializer; tasks carry only the shard id and the incident chunk.
+# In-process scoring never reads it — each server scores against its
+# own context.
+_WORKER_CTX: dict = {}
+
+
+def _fleet_worker_init(payload: dict) -> None:
+    """Executor initializer: install the server's context in this worker."""
+    _WORKER_CTX.clear()
+    _WORKER_CTX.update(payload, signals=None)
+
+
+def _pooled_score_chunk(
+    shard_id: int, ids: tuple[int, ...], truths: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    return _score_chunk(_WORKER_CTX, shard_id, ids, truths)
 
 
 # -- the Master policy --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _calibrate(
+    curve: tuple[ReliabilityBucket, ...], confidence: float
+) -> float:
+    """Raw confidence → its bucket's observed accuracy on ``curve``."""
+    for bucket in curve:
+        if bucket.lower <= confidence <= bucket.upper:
+            return bucket.accuracy
+    return confidence
+
+
+# Fields of one decision's fixed-width record in _DecisionBlock.rows.
+_SUGGESTED, _REROUTES, _YES, _ERRORS, _CAND_END, _CHAIN_END, _OPEN_END = range(7)
+_RECORD = 7
+
+
+class _DecisionBlock:
+    """The decisions of one composed chunk, stored as columns.
+
+    The fleet keeps every decision it makes, so what a decision costs
+    to keep is what its columns cost: one fixed-width record in
+    ``rows`` (suggested roster row + 1 or 0, reroutes, yes-answers,
+    errors, and the end offsets of its candidate, chain and
+    breaker-open runs), its candidates' roster rows and raw
+    confidences, and its chain and breaker-open roster rows.  The
+    calibrated confidence of a candidate is recomputed from ``curve``,
+    the reliability curve the chunk was ranked under.
+    """
+
+    __slots__ = (
+        "teams", "curve", "ids", "truths", "rows",
+        "cand_teams", "cand_conf", "chain", "gated",
+    )
+
+    def __init__(self, teams, curve, ids, truths, rows, cand_teams,
+                 cand_conf, chain, gated) -> None:
+        self.teams = teams
+        self.curve = curve
+        try:
+            self.ids = array("q", ids)
+        except OverflowError:  # ids beyond int64 stay Python ints
+            self.ids = tuple(ids)
+        self.truths = truths
+        self.rows = _narrow(rows)
+        self.cand_teams = _narrow(cand_teams)
+        self.cand_conf = array("d", cand_conf)
+        self.chain = _narrow(chain)
+        self.gated = _narrow(gated)
+
+
+def _narrow(values: list[int]) -> array:
+    """The narrowest unsigned array that holds ``values``."""
+    return array("H" if max(values, default=0) <= 0xFFFF else "I", values)
+
+
 class FleetDecision:
     """One fleet routing decision, with its full re-route chain.
 
@@ -341,17 +439,93 @@ class FleetDecision:
     chain entries that bounced or were breaker-skipped before
     ``suggested_team`` accepted.  ``suggested_team`` is None when the
     fleet fell back to the legacy routing process.
+
+    A decision is a read-only view of its row in the columns of the
+    chunk that composed it (:class:`_DecisionBlock`); equality, hashing
+    and ``repr`` go by the field values.
     """
 
-    incident_id: int
-    truth_team: str
-    suggested_team: str | None
-    candidates: tuple[tuple[str, float, float], ...]
-    chain: tuple[str, ...]
-    reroutes: int
-    answers_yes: int
-    errors: int
-    breaker_open: tuple[str, ...]
+    __slots__ = ("_block", "_i")
+
+    def __init__(self, block: _DecisionBlock, index: int) -> None:
+        self._block = block
+        self._i = index
+
+    def _field(self, field: int) -> int:
+        return self._block.rows[_RECORD * self._i + field]
+
+    def _run(self, end_field: int) -> slice:
+        start = self._field(end_field - _RECORD) if self._i else 0
+        return slice(start, self._field(end_field))
+
+    @property
+    def incident_id(self) -> int:
+        return self._block.ids[self._i]
+
+    @property
+    def truth_team(self) -> str:
+        return self._block.truths[self._i]
+
+    @property
+    def suggested_team(self) -> str | None:
+        row = self._field(_SUGGESTED)
+        return self._block.teams[row - 1] if row else None
+
+    @property
+    def candidates(self) -> tuple[tuple[str, float, float], ...]:
+        block = self._block
+        run = self._run(_CAND_END)
+        return tuple(
+            (block.teams[row], conf, _calibrate(block.curve, conf))
+            for row, conf in zip(block.cand_teams[run], block.cand_conf[run])
+        )
+
+    @property
+    def chain(self) -> tuple[str, ...]:
+        teams = self._block.teams
+        return tuple(teams[row] for row in self._block.chain[self._run(_CHAIN_END)])
+
+    @property
+    def reroutes(self) -> int:
+        return self._field(_REROUTES)
+
+    @property
+    def answers_yes(self) -> int:
+        return self._field(_YES)
+
+    @property
+    def errors(self) -> int:
+        return self._field(_ERRORS)
+
+    @property
+    def breaker_open(self) -> tuple[str, ...]:
+        teams = self._block.teams
+        return tuple(teams[row] for row in self._block.gated[self._run(_OPEN_END)])
+
+    def _values(self) -> tuple:
+        return (
+            self.incident_id, self.truth_team, self.suggested_team,
+            self.candidates, self.chain, self.reroutes, self.answers_yes,
+            self.errors, self.breaker_open,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FleetDecision):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        names = (
+            "incident_id", "truth_team", "suggested_team", "candidates",
+            "chain", "reroutes", "answers_yes", "errors", "breaker_open",
+        )
+        body = ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, self._values())
+        )
+        return f"FleetDecision({body})"
 
     def to_record(self) -> dict:
         """A JSON-friendly, key-sorted record for the decision log."""
@@ -402,10 +576,7 @@ class MasterPolicy:
 
     def calibrated(self, confidence: float) -> float:
         """Raw confidence → its bucket's observed accuracy."""
-        for bucket in self.curve:
-            if bucket.lower <= confidence <= bucket.upper:
-                return bucket.accuracy
-        return confidence
+        return _calibrate(self.curve, confidence)
 
     def rank(
         self, answers: list[ScoutAnswer]
@@ -436,6 +607,14 @@ class MasterPolicy:
 
 
 # -- the fleet server ---------------------------------------------------------
+
+
+def _at_rest(breaker: CircuitBreaker) -> bool:
+    """Closed with no failures: a successful call leaves it unchanged."""
+    return (
+        breaker.state is BreakerState.CLOSED
+        and breaker.consecutive_failures == 0
+    )
 
 
 class FleetServer:
@@ -506,6 +685,8 @@ class FleetServer:
             raise ValueError("shard_count must be >= 1")
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         if not 0.0 <= failure_rate < 1.0:
             raise ValueError("failure_rate must be in [0, 1)")
         unknown = sorted(set(broken_teams) - set(roster.teams))
@@ -547,15 +728,22 @@ class FleetServer:
             self.shard_dir, f"fleet_signals_{self._token()}.npy"
         )
         self._ensure_signals()
+        self._teams = tuple(roster.teams)  # sorted: roster row order
+        self._row = {team: row for row, team in enumerate(self._teams)}
         # Round-robin shard layout over the sorted roster: shard i
         # holds every (row % shard_count == i) Scout.
-        self._shards: dict[int, list[tuple[int, FleetScoutSpec]]] = {
-            i: [] for i in range(self.shard_count)
-        }
-        for row, spec in enumerate(roster.specs):
-            self._shards[row % self.shard_count].append((row, spec))
+        self._shard_rows = [
+            np.arange(i, len(self._teams), self.shard_count)
+            for i in range(self.shard_count)
+        ]
+        # Calibration samples have always been listed shard by shard
+        # within an incident; the reliability curve's float means are
+        # order-sensitive, so that order is kept.
+        self._shard_major = np.concatenate(self._shard_rows)
         self._init_metrics()
-        _fleet_worker_init(self._token(), self._worker_payload())
+        # This server's own scoring context (in-process scoring reads
+        # it directly; pool workers receive a copy at start-up).
+        self._ctx: dict | None = dict(self._worker_payload(), signals=None)
 
     # -- setup -------------------------------------------------------------
 
@@ -583,15 +771,25 @@ class FleetServer:
             np.save(fh, signals)
         os.replace(tmp, self._signal_path)
 
+    def _shard(self, rows: np.ndarray) -> _Shard:
+        members = [self.roster.specs[row] for row in rows]
+        return _Shard(
+            rows=rows,
+            teams=tuple(spec.team for spec in members),
+            accuracy=np.array([spec.accuracy for spec in members]),
+            beta=np.array([spec.beta for spec in members]),
+            broken=np.array(
+                [spec.team in self.broken_teams for spec in members],
+                dtype=bool,
+            ),
+        )
+
     def _worker_payload(self) -> dict:
         return {
-            "shards": {
-                i: list(specs) for i, specs in self._shards.items()
-            },
+            "shards": [self._shard(rows) for rows in self._shard_rows],
             "seed": self.roster.seed,
             "failure_rate": self.failure_rate,
             "max_attempts": self.max_attempts,
-            "broken": self.broken_teams,
             "signal_path": self._signal_path,
             "io_stall_s": self.io_stall_s,
         }
@@ -616,11 +814,15 @@ class FleetServer:
             "fleet_reroutes_total",
             "Re-route chain hops taken past bouncing or broken candidates.",
         )
-        self._m_answers = metrics.counter(
+        answers = metrics.counter(
             "fleet_scout_answers_total",
             "Per-Scout fleet call outcomes.",
             labels=("status",),
         )
+        self._m_answers = {
+            status: answers.bind(status=status)
+            for status in ("breaker_open", "retry", "error", "ok")
+        }
         self._m_breakers = metrics.gauge(
             "fleet_breakers_open",
             "Fleet Scouts currently behind an open breaker.",
@@ -636,6 +838,9 @@ class FleetServer:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        # Drop the scoring context and its memmap before the signal
+        # file goes away with the private directory.
+        self._ctx = None
         if self._own_dir is not None:
             self._own_dir.cleanup()
             self._own_dir = None
@@ -656,7 +861,7 @@ class FleetServer:
                 max_workers=self.workers,
                 mp_context=ctx,
                 initializer=_fleet_worker_init,
-                initargs=(self._token(), self._worker_payload()),
+                initargs=(self._worker_payload(),),
             )
         return self._pool
 
@@ -667,141 +872,203 @@ class FleetServer:
             incident.responsible_team, incident.incident_id
         )
 
-    def _score(
-        self, incidents: list[Incident]
-    ) -> dict[int, dict[str, tuple]]:
-        """Fan scoring tasks out; reassemble per incident, per team.
+    def _dispatch(self, incidents: list[Incident]) -> list[tuple]:
+        """Cut incidents into chunks and start every scoring task.
 
+        Returns ``(ids, truths, pending)`` per chunk, where
+        ``pending`` holds one zero-argument callable per shard that
+        yields that task's columns.  On a pool every task is submitted
+        here, so later chunks score while the parent composes earlier
+        ones; in process the callables run the kernel when called.
         The task list — (shard, chunk) pairs over a fixed shard layout
         and a fixed chunk size — is identical for every worker count;
-        only scheduling differs, and workers are pure.
+        only scheduling differs, and tasks are pure.
         """
-        pairs = tuple(
-            (incident.incident_id, self._truth(incident))
-            for incident in incidents
+        ctx = self._ctx
+        if ctx is None:
+            raise RuntimeError("FleetServer is closed")
+        pool = (
+            self._ensure_pool()
+            if self.use_processes and self.workers > 1
+            else None
         )
-        chunks = [
-            pairs[i:i + self.chunk_size]
-            for i in range(0, len(pairs), self.chunk_size)
-        ]
-        token = self._token()
-        tasks = [
-            (shard_id, chunk)
-            for chunk in chunks
-            for shard_id in range(self.shard_count)
-        ]
-        if self.use_processes and self.workers > 1:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(_score_chunk, token, shard_id, chunk)
-                for shard_id, chunk in tasks
-            ]
-            results = [f.result() for f in futures]
-        else:
-            results = [
-                _score_chunk(token, shard_id, chunk)
-                for shard_id, chunk in tasks
-            ]
-        by_incident: dict[int, dict[str, tuple]] = {
-            incident_id: {} for incident_id, _ in pairs
-        }
-        for chunk_result in results:
-            for incident_id, scored in chunk_result:
-                by_incident[incident_id][scored[0]] = scored
-        return by_incident
+        dispatched = []
+        for first in range(0, len(incidents), self.chunk_size):
+            chunk = incidents[first:first + self.chunk_size]
+            ids = tuple(incident.incident_id for incident in chunk)
+            truths = tuple(self._truth(incident) for incident in chunk)
+            if pool is not None:
+                pending = [
+                    pool.submit(
+                        _pooled_score_chunk, shard_id, ids, truths
+                    ).result
+                    for shard_id in range(self.shard_count)
+                ]
+            else:
+                pending = [
+                    partial(_score_chunk, ctx, shard_id, ids, truths)
+                    for shard_id in range(self.shard_count)
+                ]
+            dispatched.append((ids, truths, pending))
+        return dispatched
+
+    def _score(self, pending) -> tuple[np.ndarray, ...]:
+        """One chunk's ``(ok, verdict, confidence, attempts)`` columns.
+
+        Waits for (or, in process, runs) the chunk's shard tasks and
+        places each task's columns at its Scouts' roster rows.
+        """
+        parts = [task() for task in pending]
+        n = len(parts[0][0])
+        out = tuple(
+            np.empty((n, len(self._teams)), dtype=column.dtype)
+            for column in parts[0]
+        )
+        for rows, part in zip(self._shard_rows, parts):
+            for full, column in zip(out, part):
+                full[:, rows] = column
+        return out
 
     # -- composition -------------------------------------------------------
 
     def _compose(
-        self, incident: Incident, scored: dict[str, tuple]
-    ) -> FleetDecision:
-        """Breaker-gate one incident's answers and run the Master policy.
+        self, ids: tuple[int, ...], truths: tuple[str, ...], scored
+    ) -> list[FleetDecision]:
+        """Breaker-gate each incident's answers and run the Master policy.
 
         Runs in arrival order on the parent — breaker transitions are a
-        serial fold over incidents, untouched by pool scheduling.
+        serial fold over (incident, team), untouched by pool scheduling.
+        A breaker at rest (closed, no failures) that sees a successful
+        call folds to itself, so only the teams whose breaker is not at
+        rest, or whose call failed, are folded one by one.
         """
-        answers: list[ScoutAnswer] = []
-        errors = 0
-        breaker_open: list[str] = []
-        for team in self.roster.teams:  # sorted — fixed gating order
-            breaker = self.breakers[team]
-            if not breaker.allow():
-                breaker_open.append(team)
-                self._m_answers.inc(1, status="breaker_open")
-                continue
-            _, verdict, confidence, attempts, ok = scored[team]
-            if attempts > 1:
-                self._m_answers.inc(attempts - 1, status="retry")
-            if not ok:
-                breaker.record_failure()
-                errors += 1
-                self._m_answers.inc(1, status="error")
-                continue
-            breaker.record_success()
-            self._m_answers.inc(1, status="ok")
-            answers.append(ScoutAnswer(team, verdict, confidence))
+        ok, verdict, confidence, attempts = scored
+        teams = self._teams
+        breakers = [self.breakers[team] for team in teams]
+        unsettled = {
+            j for j, breaker in enumerate(breakers) if not _at_rest(breaker)
+        }
+        failed = [np.flatnonzero(row).tolist() for row in ~ok]
+        yes_cols = [np.flatnonzero(row).tolist() for row in ok & verdict]
+        ok_total = ok.sum(axis=1).tolist()
+        retry_total = (attempts - 1).sum(axis=1).tolist()
+        ok_rows = ok.tolist()
+        attempt_rows = attempts.tolist()
+        m_answers = self._m_answers
+        row_of = self._row
+        curve = self.policy.curve
+        # The chunk's decision columns (see _DecisionBlock).
+        rows: list[int] = []
+        cand_teams: list[int] = []
+        cand_conf: list[float] = []
+        chain_rows: list[int] = []
+        gated_rows: list[int] = []
+        for i, incident_id in enumerate(ids):
+            ok_row = ok_rows[i]
+            blocked: list[int] = []
+            errors = 0
+            for j in sorted(unsettled.union(failed[i])):
+                breaker = breakers[j]
+                if not breaker.allow():
+                    blocked.append(j)
+                    continue
+                if ok_row[j]:
+                    breaker.record_success()
+                else:
+                    breaker.record_failure()
+                    errors += 1
+                if _at_rest(breaker):
+                    unsettled.discard(j)
+                else:
+                    unsettled.add(j)
+            retries = retry_total[i] - sum(
+                attempt_rows[i][j] - 1 for j in blocked
+            )
+            oks = ok_total[i] - sum(1 for j in blocked if ok_row[j])
+            for status, count in (
+                ("breaker_open", len(blocked)),
+                ("retry", retries),
+                ("error", errors),
+                ("ok", oks),
+            ):
+                if count:
+                    m_answers[status].inc(count)
 
-        truth = self._truth(incident)
-        candidates, chain = self.policy.rank(answers)
-        suggested: str | None = None
+            answers = [
+                ScoutAnswer(teams[j], True, float(confidence[i, j]))
+                for j in yes_cols[i]
+                if j not in blocked
+            ]
+            candidates, chain = self.policy.rank(answers)
+            suggested, reroutes = self._walk(chain, truths[i], incident_id)
+
+            self._m_incidents.inc()
+            if reroutes:
+                self._m_reroutes.inc(reroutes)
+            self._m_decisions.inc(
+                1, result="suggested" if suggested else "legacy_fallback"
+            )
+            # Breakers at rest are closed, so only unsettled ones can
+            # be open.
+            self._m_breakers.set(
+                sum(
+                    1
+                    for j in sorted(unsettled)
+                    if breakers[j].state is BreakerState.OPEN
+                )
+            )
+            for team, conf, _ in candidates:
+                cand_teams.append(row_of[team])
+                cand_conf.append(conf)
+            chain_rows.extend(row_of[team] for team in chain)
+            gated_rows.extend(blocked)
+            rows += (
+                row_of[suggested] + 1 if suggested else 0,
+                reroutes,
+                len(answers),
+                errors,
+                len(cand_teams),
+                len(chain_rows),
+                len(gated_rows),
+            )
+        block = _DecisionBlock(
+            teams, curve, ids, truths, rows,
+            cand_teams, cand_conf, chain_rows, gated_rows,
+        )
+        return [FleetDecision(block, i) for i in range(len(ids))]
+
+    def _walk(
+        self, chain: tuple[str, ...], truth: str, incident_id: int
+    ) -> tuple[str | None, int]:
+        """Walk the re-route chain: ``(suggested team or None, reroutes)``."""
         reroutes = 0
         for team in chain:
             if self.breakers[team].state is BreakerState.OPEN:
                 reroutes += 1
                 continue
             if team == truth:
-                suggested = team
-                break
-            accepted = (
-                _draw(
-                    self.roster.seed, "accept", team, incident.incident_id
-                )
-                < self.wrong_accept
-            )
-            if accepted:
-                suggested = team
-                break
+                return team, reroutes
+            key = f"{self.roster.seed}|accept|{team}|{incident_id}"
+            if _draw(key) < self.wrong_accept:
+                return team, reroutes
             reroutes += 1  # the candidate bounced: walk the chain
-
-        self._m_incidents.inc()
-        if reroutes:
-            self._m_reroutes.inc(reroutes)
-        self._m_decisions.inc(
-            1, result="suggested" if suggested else "legacy_fallback"
-        )
-        self._m_breakers.set(
-            sum(
-                1
-                for b in self.breakers.values()
-                if b.state is BreakerState.OPEN
-            )
-        )
-        yes = sum(1 for a in answers if a.responsible is True)
-        return FleetDecision(
-            incident_id=incident.incident_id,
-            truth_team=truth,
-            suggested_team=suggested,
-            candidates=candidates,
-            chain=chain,
-            reroutes=reroutes,
-            answers_yes=yes,
-            errors=errors,
-            breaker_open=tuple(breaker_open),
-        )
+        return None, reroutes
 
     # -- serving -----------------------------------------------------------
 
     def route_trace(self, incidents) -> list[FleetDecision]:
-        """Route a batch of incidents; decisions come back in order."""
+        """Route a batch of incidents; decisions come back in order.
+
+        Chunk *k* is composed as soon as its tasks return, while later
+        chunks are still scoring on the pool.
+        """
         incidents = list(incidents)
         if not incidents:
             return []
         started = self._clock()
-        by_incident = self._score(incidents)
-        decisions = [
-            self._compose(incident, by_incident[incident.incident_id])
-            for incident in incidents
-        ]
+        decisions: list[FleetDecision] = []
+        for ids, truths, pending in self._dispatch(incidents):
+            decisions.extend(self._compose(ids, truths, self._score(pending)))
         self._m_latency.observe(self._clock() - started)
         self.decisions.extend(decisions)
         return decisions
@@ -816,21 +1083,19 @@ class FleetServer:
         incidents = list(incidents)
         if not incidents:
             return 0
-        by_incident = self._score(incidents)
-        confidences: list[float] = []
-        correct: list[bool] = []
-        for incident in incidents:
-            truth = self._truth(incident)
-            for team, verdict, confidence, _, ok in by_incident[
-                incident.incident_id
-            ].values():
-                if not ok or verdict is not True:
-                    continue
-                confidences.append(confidence)
-                correct.append(team == truth)
-        if confidences:
-            self.policy.fit(confidences, correct)
-        return len(confidences)
+        order = self._shard_major
+        confidences: list[np.ndarray] = []
+        correct: list[np.ndarray] = []
+        for _, truths, pending in self._dispatch(incidents):
+            ok, verdict, confidence, _ = self._score(pending)
+            yes = (ok & verdict)[:, order]
+            truth_rows = np.array([self._row.get(t, -1) for t in truths])
+            confidences.append(confidence[:, order][yes])
+            correct.append((order == truth_rows[:, None])[yes])
+        samples = np.concatenate(confidences)
+        if samples.size:
+            self.policy.fit(samples, np.concatenate(correct))
+        return int(samples.size)
 
     # -- read-outs ---------------------------------------------------------
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 
 from repro.core.features import _PERCENTILES, STAT_NAMES
 from repro.ml.tree import DecisionTreeClassifier, TreeNode, _gini
+from repro.serving.fleet import _SIGNAL_COLS, _SIGNAL_WINDOW
 
 
 def reference_stats(pooled: np.ndarray) -> np.ndarray:
@@ -131,3 +135,79 @@ class ReferenceTree(DecisionTreeClassifier):
                 best_score = float(gains[best_local])
                 best = (int(feature), float(threshold), best_score)
         return best
+
+
+# -- fleet scoring --------------------------------------------------------------
+
+
+def reference_draw(seed: int, *parts) -> float:
+    """The fleet's content-addressed uniform draw, key built by ``join``."""
+    digest = hashlib.sha256(
+        ("|".join(str(p) for p in (seed, *parts))).encode()
+    ).digest()
+    return struct.unpack(">Q", digest[:8])[0] / 2.0**64
+
+
+def reference_signal_stat(
+    signals: np.ndarray, row: int, incident_id: int
+) -> float:
+    """One team's window statistic, sliced and reduced on its own."""
+    start = incident_id % (_SIGNAL_COLS - _SIGNAL_WINDOW)
+    window = signals[row, start:start + _SIGNAL_WINDOW]
+    return float(window.mean() + window.std())
+
+
+def reference_score_one(
+    spec, row, signals, incident_id, truth_team, seed,
+    failure_rate, max_attempts, broken,
+) -> tuple:
+    """Score one (Scout, incident) pair: ``(team, verdict, confidence,
+    attempts, ok)``, with ``verdict`` None when every attempt failed."""
+    attempts = 0
+    ok = False
+    for attempt in range(max_attempts):
+        attempts += 1
+        if spec.team in broken:
+            continue
+        if reference_draw(
+            seed, "fail", spec.team, incident_id, attempt
+        ) >= failure_rate:
+            ok = True
+            break
+    if not ok:
+        return (spec.team, None, 0.0, attempts, False)
+    truth = truth_team == spec.team
+    correct = reference_draw(seed, "acc", spec.team, incident_id) < spec.accuracy
+    verdict = truth if correct else (not truth)
+    spread = reference_draw(seed, "conf", spec.team, incident_id)
+    jitter = reference_signal_stat(signals, row, incident_id) % 1.0
+    u = (spread + jitter) % 1.0
+    if correct:
+        confidence = 0.8 - spec.beta * u
+    else:
+        confidence = 0.5 + spec.beta * u
+    return (spec.team, verdict, round(confidence, 9), attempts, True)
+
+
+def reference_score_chunk(
+    shard, signals, pairs, seed, failure_rate, max_attempts, broken,
+) -> list[tuple[int, tuple]]:
+    """The per-pair fleet task: every ``(row, spec)`` of one shard over
+    every ``(incident_id, truth_team)`` pair, incident-major, as
+    ``(incident_id, reference_score_one(...))`` tuples.
+
+    The fleet's task kernel scores a whole (shard, chunk) task in one
+    vectorized pass and returns columns; it must equal this loop pair
+    by pair.
+    """
+    return [
+        (
+            incident_id,
+            reference_score_one(
+                spec, row, signals, incident_id, truth_team,
+                seed, failure_rate, max_attempts, broken,
+            ),
+        )
+        for incident_id, truth_team in pairs
+        for row, spec in shard
+    ]

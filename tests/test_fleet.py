@@ -8,7 +8,10 @@ worker counts and across pool-vs-in-process execution.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -138,6 +141,8 @@ def test_server_rejects_bad_knobs(roster):
         _server(roster, shard_count=0)
     with pytest.raises(ValueError, match="chunk_size"):
         _server(roster, chunk_size=0)
+    with pytest.raises(ValueError, match="max_attempts"):
+        _server(roster, max_attempts=0)
     with pytest.raises(ValueError, match="failure_rate"):
         _server(roster, failure_rate=1.0)
     with pytest.raises(ValueError, match="broken_teams"):
@@ -239,13 +244,13 @@ class _StuckOpenBreaker(CircuitBreaker):
 
 def test_chain_walk_skips_open_breaker_entries(roster, trace):
     with _server(roster) as server:
-        incident = trace[0]
-        scored = server._score([incident])[incident.incident_id]
-        first = server._compose(incident, scored)
+        ((ids, truths, pending),) = server._dispatch([trace[0]])
+        scored = server._score(pending)
+        (first,) = server._compose(ids, truths, scored)
         assert first.chain, "need a non-empty chain for the skip test"
         target = first.chain[0]
         server.breakers[target] = _StuckOpenBreaker(clock=FakeClock())
-        second = server._compose(incident, scored)
+        (second,) = server._compose(ids, truths, scored)
         # Same chain, but the walk now skips the OPEN head and counts
         # the skip as a re-route instead of suggesting a dead Scout.
         assert second.chain == first.chain
@@ -277,3 +282,48 @@ def test_retry_model_recovers_transients_deterministically(roster, trace):
         summary = server.summary()
         assert summary["incidents"] == 8
         assert summary["breakers_open"] == 0
+
+
+# -- the decision log ---------------------------------------------------------
+
+
+def test_decisions_are_value_objects_over_columns(roster, trace):
+    wide = [
+        dataclasses.replace(incident, incident_id=2**64 + k)
+        for k, incident in enumerate(trace[:3])
+    ]
+    with _server(roster) as a, _server(roster) as b:
+        first = a.route_trace(trace[:6] + wide)
+        again = b.route_trace(trace[:6] + wide)
+    assert first == again and first is not again
+    assert len({hash(d) for d in first}) == len({d.incident_id for d in first})
+    # Ids beyond int64 keep their exact value.
+    assert [d.incident_id for d in first[6:]] == [2**64 + k for k in range(3)]
+    d = first[0]
+    assert repr(d).startswith(f"FleetDecision(incident_id={d.incident_id}, ")
+    record = d.to_record()
+    assert record["chain"] == list(d.chain)
+    assert [c[0] for c in record["candidates"]] == [t for t, _, _ in d.candidates]
+    with pytest.raises(AttributeError):
+        d.errors = 3
+
+
+def test_decision_log_stays_lean(roster, trace):
+    # The server keeps every decision it makes; a decision is a
+    # two-slot view of its chunk's columns (~150 B here, against ~600 B
+    # for a dataclass carrying its own tuples and floats).
+    with _server(roster) as server:
+        for _ in range(2):  # warm the policy's and metrics' lookups
+            server.route_trace(trace)
+        server.decisions.clear()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(16):
+                server.route_trace(trace)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / len(server.decisions) < 200
