@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config.spec import ScoutConfig
-from ..datacenter.components import Component, ComponentKind
+from ..datacenter.components import ComponentKind
 from ..datacenter.topology import Topology
 from ..ml.cpd import CusumDetector
 from ..ml.forest import RandomForestClassifier
@@ -107,39 +107,30 @@ class CPDPlus:
             for locator in group.locators:
                 if not self.store.is_active(locator):
                     continue
-                kinds = self.store.schema(locator).component_kinds
                 # Same component→device expansion order as the feature
                 # pulls (duplicate devices mentioned via two components
                 # deliberately count twice, as they always have).
-                devs = []
-                for component in components:
-                    devs.extend(self.builder._observables(component, kinds))
-                self.builder.prefetch_series(locator, devs, t - T, t)
-                rows = []
-                row_devs = []
-                for device in devs:
-                    window = self.builder.series(locator, device, t - T, t)
-                    if window is None or len(window) < 6:
-                        continue
-                    devices += 1
-                    rows.append(window.values)
-                    row_devs.append(device)
-                if not rows:
+                devs = self.builder._devices(locator, components)
+                positions, rows = self.builder.series_rows(
+                    locator, devs, t - T, t
+                )
+                if rows.shape[1] < 6:
                     continue
+                devices += len(positions)
                 # All rows share the locator's sampling grid, so the
                 # whole group CUSUM-scans as one matrix.
-                hits = self.detector.detect_any(np.vstack(rows))
+                hits = self.detector.detect_any(rows)
                 detections += int(hits.sum())
                 # Container-kind groups feed the cluster RF only;
                 # device-level triggers (and thus the conservative
                 # any-signal rule) come from the implicated leaf
                 # devices themselves.
                 if group.kind in _LEAF_KINDS:
-                    for device, hit in zip(row_devs, hits):
-                        if hit:
-                            triggers.append(
-                                f"change-point in {locator} on {device.name}"
-                            )
+                    for k in np.flatnonzero(hits).tolist():
+                        triggers.append(
+                            f"change-point in {locator} on "
+                            f"{devs[positions[k]].name}"
+                        )
             if devices:
                 vector[g] = detections / devices
 
@@ -150,38 +141,29 @@ class CPDPlus:
                 continue
             if not self.store.is_active(feature.locator):
                 continue
-            kinds = self.store.schema(feature.locator).component_kinds
             rate = self.store.schema(feature.locator).events.rates[
                 feature.event_type
             ]
-            abnormal = 0
-            devs_all: list[Component] = []
-            for component in components:
-                devs_all.extend(self.builder._observables(component, kinds))
+            devs_all = self.builder._devices(feature.locator, components)
             # Counts only (no event is materialized), served from the
-            # same memo the feature pulls fill.
-            per_device = self.builder.device_event_counts(
-                feature.locator, devs_all, t - T, t
+            # same memo the feature pulls fill; -1 marks no data.
+            counts = self.builder.device_type_counts(
+                feature.locator, devs_all, t - T, t, feature.event_type
             )
-            for device, counts in zip(devs_all, per_device):
-                if counts is None:
-                    continue
-                count = counts.get(feature.event_type, 0)
-                expected = rate * T / 3600.0
-                # Poisson upper-tail test: flag counts beyond the
-                # ~95% envelope of the healthy rate, and never on a
-                # single event — background noise produces lone
-                # events routinely.
-                threshold = max(expected + 1.64 * np.sqrt(expected) + 0.5, 2.5)
-                if count > threshold:
-                    abnormal += 1
-                    if feature.kind in _LEAF_KINDS:
-                        triggers.append(
-                            f"{count}x {feature.event_type} events in "
-                            f"{feature.locator} on {device.name}"
-                        )
+            expected = rate * T / 3600.0
+            # Poisson upper-tail test: flag counts beyond the ~95%
+            # envelope of the healthy rate, and never on a single
+            # event — background noise produces lone events routinely.
+            threshold = max(expected + 1.64 * np.sqrt(expected) + 0.5, 2.5)
+            abnormal = np.flatnonzero(counts > threshold).tolist()
+            if feature.kind in _LEAF_KINDS:
+                for k in abnormal:
+                    triggers.append(
+                        f"{counts[k]}x {feature.event_type} events in "
+                        f"{feature.locator} on {devs_all[k].name}"
+                    )
             if devs_all:
-                vector[offset + e] = abnormal / len(devs_all)
+                vector[offset + e] = len(abnormal) / len(devs_all)
         return vector, triggers
 
     # -- scope ---------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from ..config.spec import ScoutConfig
 from ..datacenter.components import Component, ComponentKind
 from ..datacenter.topology import Topology
-from ..monitoring.base import DataKind
+from ..monitoring.base import DataKind, TimeSeries
 from ..monitoring.store import MonitoringStore
 from .extraction import ExtractedComponents
 from .window_agg import Block, BucketQuantiles, WindowAggregator, exact_percentiles
@@ -159,6 +159,91 @@ def _stats(pooled: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Rows:
+    """One memoized (dataset, window) pull: a matrix plus name → row.
+
+    ``index`` maps a device name to its row of ``values``, or to -1 when
+    the store has no data for the device (inactive dataset, uncovered
+    kind).  Rows only ever append: a later pull of the same window for
+    more devices stacks its rows under the existing ones.  Series pulls
+    keep the shared sampling grid in ``timestamps``.
+    """
+
+    __slots__ = ("values", "index", "timestamps", "_views")
+
+    def __init__(self) -> None:
+        self.values: np.ndarray | None = None
+        self.index: dict[str, int] = {}
+        self.timestamps: np.ndarray | None = None
+        self._views: dict | None = None
+
+    def add(self, names, positions, values, timestamps=None) -> None:
+        """Record ``names``: ``names[positions[k]]`` gets row ``k`` of
+        ``values``, every other name no data."""
+        index = self.index
+        for name in names:
+            index[name] = -1
+        if not len(positions):
+            return
+        base = 0 if self.values is None else len(self.values)
+        for k, position in enumerate(positions):
+            index[names[position]] = base + k
+        if self.values is None:
+            self.values = values
+            self.timestamps = timestamps
+        else:
+            self.values = np.vstack((self.values, values))
+
+    def add_row(self, name: str, row, timestamps) -> None:
+        """Record one scalar pull (``row`` None: no data)."""
+        if row is None:
+            self.add((name,), (), None)
+        else:
+            self.add((name,), (0,), row[np.newaxis, :], timestamps)
+
+    def gather(self, names) -> tuple[list[int], np.ndarray]:
+        """The positions in ``names`` that have data, and their rows."""
+        index = self.index
+        idx = [index[name] for name in names]
+        if self.values is None:
+            return [], np.empty((0, 0))
+        positions = [k for k, i in enumerate(idx) if i >= 0]
+        if len(positions) < len(idx):
+            idx = [idx[k] for k in positions]
+        return positions, self.values[idx]
+
+    def column(self, names, col: int) -> np.ndarray:
+        """Column ``col`` of each name's row, -1 where there is no data."""
+        idx = np.array([self.index[name] for name in names], dtype=np.intp)
+        if self.values is None:
+            return np.full(len(idx), -1, dtype=np.int64)
+        return np.where(idx >= 0, self.values[idx, col], -1)
+
+    def row(self, name: str) -> np.ndarray | None:
+        i = self.index[name]
+        return None if i < 0 else self.values[i]
+
+    def series(self, name: str) -> TimeSeries | None:
+        """A name's row as a :class:`TimeSeries` (the same object on
+        every call), or None."""
+        views = self._views if self._views is not None else {}
+        view = views.get(name)
+        if view is None:
+            values = self.row(name)
+            if values is None:
+                return None
+            view = views[name] = TimeSeries(self.timestamps, values)
+            self._views = views
+        return view
+
+    def forget(self, name: str) -> bool:
+        """Drop a name (TTL eviction); True when no name is left."""
+        self.index.pop(name, None)
+        if self._views is not None:
+            self._views.pop(name, None)
+        return not self.index
+
+
 def _publishes_counts(method):
     """Flush the builder's tallied counter ticks when the outermost
     public call returns or raises (see :meth:`FeatureBuilder._count`).
@@ -201,26 +286,30 @@ class FeatureBuilder:
         # workers) always see every memo:
         #
         # * per-incident — cluster/DC/leaf feature groups and CPD+ all
-        #   re-query the same (dataset, device, window) series/counts;
-        #   with no TTL configured (the default), callers reset these
+        #   re-read the same (dataset, device, window) series/counts;
+        #   each memo maps (locator, window) to one _Rows matrix.  With
+        #   no TTL configured (the default), callers reset these
         #   between incidents via clear_cache()/begin_incident();
         # * TTL-window — when ``cache_ttl`` and ``clock`` are set (the
         #   incident manager threads its own injectable clock in at
         #   registration), the same memos survive *across* incidents:
         #   keys already carry the exact query window
-        #   ``(locator, device, t0, t1)``, so a burst of correlated
+        #   ``(locator, t0, t1)``, so a burst of correlated
         #   incidents at the same timestamps shares pulls instead of
         #   re-issuing them N times.  Entries are stamped with their
-        #   insertion time and evicted once older than ``cache_ttl``
-        #   (on the injectable clock, so fake-clock tests are exact);
+        #   insertion time per (memo key, device) and evicted once
+        #   older than ``cache_ttl`` (on the injectable clock, so
+        #   fake-clock tests are exact);
         # * topology-lifetime — ``_observables_memo`` maps a container
         #   component to its observable leaf devices, which depends only
         #   on the (immutable) topology and config, so clear_cache()
-        #   deliberately keeps it.
-        self._series_memo: dict = {}
-        self._norm_memo: dict = {}
-        self._type_counts_memo: dict = {}
+        #   deliberately keeps it (as it keeps ``_count_types_memo``,
+        #   the count-memo columns per event dataset).
+        self._series_memo: dict[tuple, _Rows] = {}
+        self._norm_memo: dict[tuple, _Rows] = {}
+        self._type_counts_memo: dict[tuple, _Rows] = {}
         self._observables_memo: dict = {}
+        self._count_types_memo: dict[str, list[str]] = {}
         # TTL-window cache state: ``cache_ttl=None`` keeps the seed
         # behavior (per-incident memos).  ``_epoch`` counts live
         # predictions so a memo hit can tell "same incident re-query"
@@ -424,22 +513,30 @@ class FeatureBuilder:
             expired = [key for key, (at, _) in stamps.items() if at <= cutoff]
             for key in expired:
                 del stamps[key]
-                memo.pop(key, None)
+                memo_key, name = key
+                rows = memo.get(memo_key)
+                if rows is not None and rows.forget(name):
+                    del memo[memo_key]
 
-    def _note_hit(self, kind: str, stamps: dict, key) -> None:
-        """Count a memo hit; cross-incident hits get their own counter."""
-        self._count("monitoring_cache_hits_total", kind)
+    def _note_hits(self, kind: str, stamps: dict, key, devices) -> None:
+        """Count one memo hit per entry of ``devices``; hits on entries
+        an earlier incident stored also count as cross-incident hits."""
+        self._count("monitoring_cache_hits_total", kind, len(devices))
         if self.cache_ttl is None:
             return
-        stamp = stamps.get(key)
-        if stamp is not None and stamp[1] != self._epoch:
-            self._count("monitoring_cache_cross_hits_total", kind)
+        cross = 0
+        for device in devices:
+            stamp = stamps.get((key, device.name))
+            if stamp is not None and stamp[1] != self._epoch:
+                cross += 1
+        if cross:
+            self._count("monitoring_cache_cross_hits_total", kind, cross)
 
     def _note_engine_hit(self, kind: str, key) -> None:
         """Count an engine-cache hit, classifying cross-incident reuse.
 
         The engine memos are content-addressed and live across
-        incidents by design, so — unlike :meth:`_note_hit` — the
+        incidents by design, so — unlike :meth:`_note_hits` — the
         cross-hit classification does not depend on a TTL being
         configured: an entry inserted during an earlier prediction
         epoch that satisfies this one *is* the cross-incident cache
@@ -456,117 +553,199 @@ class FeatureBuilder:
         """Record which prediction epoch inserted an engine entry."""
         self._engine_stamps[key] = self._epoch
 
-    def _series(self, locator: str, device: Component, t0: float, t1: float):
-        """Memoized MonitoringStore.query_series."""
-        key = (locator, device.name, t0, t1)
-        if key not in self._series_memo:
-            self._count("monitoring_queries_total", "series")
-            self._series_memo[key] = self.store.query_series(locator, device, t0, t1)
-            if self.ttl_enabled:
-                self._series_stamps[key] = (self.clock(), self._epoch)
-        else:
-            self._note_hit("series", self._series_stamps, key)
-        return self._series_memo[key]
+    # -- memoized pulls -----------------------------------------------------
+    #
+    # The per-incident (or TTL-window) memos hold one _Rows per
+    # (locator, window): the pulled matrix plus a device name -> row
+    # index.  The query sequence is the seed's, which the fault drills
+    # pin by ordinal: a pull that finds two or more distinct devices
+    # missing issues one batch query; any device still missing when
+    # its values are read is pulled by a scalar query at that point,
+    # and every read served from the memo counts one cache hit.
 
-    series = _publishes_counts(_series)
+    def _stamp(self, stamps: dict, key, names) -> None:
+        if self.ttl_enabled:
+            stamp = (self.clock(), self._epoch)
+            for name in names:
+                stamps[(key, name)] = stamp
+
+    @staticmethod
+    def _missing(rows: _Rows | None, devices: list[Component]) -> list[Component]:
+        """Distinct ``devices`` (first-occurrence order) not in ``rows``."""
+        known = rows.index if rows is not None else {}
+        seen: set[str] = set()
+        missing: list[Component] = []
+        for device in devices:
+            name = device.name
+            if name not in known and name not in seen:
+                seen.add(name)
+                missing.append(device)
+        return missing
+
+    def _serve(self, memo, stamps, kind, scalar, locator, devices, t0, t1):
+        """Read ``devices`` (in order) through one (locator, window) memo.
+
+        Devices already memoized count a hit each; the others are pulled
+        one by one with ``scalar`` (a row maker over the store's scalar
+        query), interleaved with the hits exactly as per-device reads
+        would be.  Returns the window's :class:`_Rows`.
+        """
+        key = (locator, t0, t1)
+        rows = memo.get(key)
+        if rows is not None and all(d.name in rows.index for d in devices):
+            if devices:
+                self._note_hits(kind, stamps, key, devices)
+            return rows
+        hits: list[Component] = []
+        for device in devices:
+            if rows is not None and device.name in rows.index:
+                hits.append(device)
+                continue
+            if hits:
+                self._note_hits(kind, stamps, key, hits)
+                hits = []
+            self._count("monitoring_queries_total", kind)
+            row, timestamps = scalar(locator, device, t0, t1)
+            if rows is None:
+                rows = memo[key] = _Rows()
+            rows.add_row(device.name, row, timestamps)
+            self._stamp(stamps, key, (device.name,))
+        if hits:
+            self._note_hits(kind, stamps, key, hits)
+        return rows if rows is not None else _Rows()
+
+    def _scalar_series(self, locator, device, t0, t1):
+        series = self.store.query_series(locator, device, t0, t1)
+        if series is None:
+            return None, None
+        return series.values, series.timestamps
+
+    def _scalar_counts(self, locator, device, t0, t1):
+        counts = self.store.query_event_type_counts(locator, device, t0, t1)
+        if counts is None:
+            return None, None
+        types = self._count_types(locator)
+        return np.array([counts.get(t, 0) for t in types], dtype=np.int64), None
+
+    def _count_types(self, locator: str) -> list[str]:
+        """The count-memo columns of an event dataset: its schema types."""
+        types = self._count_types_memo.get(locator)
+        if types is None:
+            types = sorted(self.store.schema(locator).events.rates)
+            self._count_types_memo[locator] = types
+        return types
+
+    def _serve_series(self, locator, devices, t0, t1) -> _Rows:
+        return self._serve(
+            self._series_memo, self._series_stamps, "series",
+            self._scalar_series, locator, devices, t0, t1,
+        )
+
+    def _serve_counts(self, locator, devices, t0, t1) -> _Rows:
+        return self._serve(
+            self._type_counts_memo, self._type_counts_stamps, "event_counts",
+            self._scalar_counts, locator, devices, t0, t1,
+        )
+
+    @_publishes_counts
+    def series(self, locator: str, device: Component, t0: float, t1: float):
+        """Memoized :meth:`MonitoringStore.query_series` (None: no data)."""
+        rows = self._serve_series(locator, [device], t0, t1)
+        return rows.series(device.name)
 
     def _prefetch_series(
         self, locator: str, devices: list[Component], t0: float, t1: float
     ) -> None:
-        """Warm the series memo for many devices with one batched query.
+        """Warm the series memo for many devices with one matrix query.
 
-        ``query_series_batch`` is bit-identical to per-device queries,
-        so later :meth:`series` calls see exactly the values they would
-        have computed — just without per-device generator overhead.
+        Issued only when two or more distinct devices are missing; the
+        rows are bit-identical to per-device queries.
         """
-        missing: list[Component] = []
-        seen: set[str] = set()
-        for device in devices:
-            if device.name in seen:
-                continue
-            seen.add(device.name)
-            if (locator, device.name, t0, t1) not in self._series_memo:
-                missing.append(device)
+        key = (locator, t0, t1)
+        missing = self._missing(self._series_memo.get(key), devices)
         if len(missing) < 2:
             return
         self._count("monitoring_queries_total", "series_batch")
-        batch = self.store.query_series_batch(locator, missing, t0, t1)
-        stamp = (self.clock(), self._epoch) if self.ttl_enabled else None
-        for device, series in zip(missing, batch):
-            key = (locator, device.name, t0, t1)
-            self._series_memo[key] = series
-            if stamp is not None:
-                self._series_stamps[key] = stamp
+        positions, timestamps, values = self.store.query_series_matrix(
+            locator, missing, t0, t1
+        )
+        names = [device.name for device in missing]
+        self._series_memo.setdefault(key, _Rows()).add(
+            names, positions.tolist(), values, timestamps
+        )
+        self._stamp(self._series_stamps, key, names)
 
     prefetch_series = _publishes_counts(_prefetch_series)
 
-    def _type_counts(
-        self, locator: str, device: Component, t0: float, t1: float
-    ) -> dict[str, int] | None:
-        """Memoized MonitoringStore.query_event_type_counts.
+    @_publishes_counts
+    def series_rows(
+        self, locator: str, devices: list[Component], t0: float, t1: float
+    ) -> tuple[list[int], np.ndarray]:
+        """The windows of ``devices`` (in order, duplicates kept) as rows.
 
-        The default path's event accessor: per-incident (or TTL-window)
-        lifetime like :meth:`series`, keyed on the exact query window.
-        Event features only ever need per-type counts, so no event is
-        materialized.
+        Returns the positions in ``devices`` that have data and one
+        matrix row per position, all on the dataset's shared sampling
+        grid — the per-device reads CPD+ scans, served from the memo.
         """
-        key = (locator, device.name, t0, t1)
-        if key not in self._type_counts_memo:
-            self._count("monitoring_queries_total", "event_counts")
-            self._type_counts_memo[key] = self.store.query_event_type_counts(
-                locator, device, t0, t1
-            )
-            if self.ttl_enabled:
-                self._type_counts_stamps[key] = (self.clock(), self._epoch)
-        else:
-            self._note_hit("event_counts", self._type_counts_stamps, key)
-        return self._type_counts_memo[key]
+        self._prefetch_series(locator, devices, t0, t1)
+        rows = self._serve_series(locator, devices, t0, t1)
+        return rows.gather([device.name for device in devices])
 
     def _prefetch_type_counts(
         self, locator: str, devices: list[Component], t0: float, t1: float
     ) -> None:
-        """Warm the :meth:`_type_counts` memo with one batched query.
+        """Warm the count memo with one matrix query (two or more missing).
 
         Same two-or-more-missing rule as :meth:`prefetch_series`: each
         batch is one store query, which keeps the default path's
         FaultyStore ordinals on the sequence the fault drills pin.
         """
-        missing: list[Component] = []
-        seen: set[str] = set()
-        for device in devices:
-            if device.name in seen:
-                continue
-            seen.add(device.name)
-            if (locator, device.name, t0, t1) not in self._type_counts_memo:
-                missing.append(device)
+        key = (locator, t0, t1)
+        missing = self._missing(self._type_counts_memo.get(key), devices)
         if len(missing) < 2:
             return
         self._count("monitoring_queries_total", "event_counts_batch")
-        batch = self.store.query_event_type_counts_batch(
+        positions, types, counts = self.store.query_event_type_counts_matrix(
             locator, missing, t0, t1
         )
-        stamp = (self.clock(), self._epoch) if self.ttl_enabled else None
-        for device, counts in zip(missing, batch):
-            key = (locator, device.name, t0, t1)
-            self._type_counts_memo[key] = counts
-            if stamp is not None:
-                self._type_counts_stamps[key] = stamp
+        columns = [types.index(t) for t in self._count_types(locator)]
+        names = [device.name for device in missing]
+        self._type_counts_memo.setdefault(key, _Rows()).add(
+            names, positions.tolist(), counts[:, columns]
+        )
+        self._stamp(self._type_counts_stamps, key, names)
 
     @_publishes_counts
-    def device_event_counts(
-        self, locator: str, devices: list[Component], t0: float, t1: float
-    ) -> list[dict[str, int] | None]:
-        """Per-type counts for each of ``devices``, in order (CPD+).
+    def device_type_counts(
+        self,
+        locator: str,
+        devices: list[Component],
+        t0: float,
+        t1: float,
+        event_type: str,
+    ) -> np.ndarray:
+        """Per-device counts of one schema event type, in order (CPD+).
 
-        The incremental engine first warms its content-addressed memo
-        with one batch query; the default path pulls device by device
-        through the per-incident memo, the query sequence CPD+ has
-        always issued there.
+        -1 marks a device the dataset has no data for.  The incremental
+        engine first warms its content-addressed memo with one batch
+        query; the default path reads device by device through the
+        per-incident memo, the query sequence CPD+ has always issued
+        there.
         """
         if self.incremental:
             self._prefetch_event_counts(locator, devices, t0, t1)
-            return [self._event_counts(locator, d, t0, t1) for d in devices]
-        return [self._type_counts(locator, d, t0, t1) for d in devices]
+            return np.array(
+                [
+                    -1 if counts is None else counts.get(event_type, 0)
+                    for counts in (
+                        self._event_counts(locator, d, t0, t1) for d in devices
+                    )
+                ],
+                dtype=np.int64,
+            )
+        rows = self._serve_counts(locator, devices, t0, t1)
+        column = self._count_types(locator).index(event_type)
+        return rows.column([device.name for device in devices], column)
 
     # -- component resolution ----------------------------------------------
 
@@ -594,97 +773,70 @@ class FeatureBuilder:
         cache[key] = members
         return members
 
+    def _devices(
+        self, locator: str, components: list[Component]
+    ) -> list[Component]:
+        """Observed devices of ``components`` in component order
+        (a device reached through two components appears twice)."""
+        kinds = self.store.schema(locator).component_kinds
+        return [
+            device
+            for component in components
+            for device in self._observables(component, kinds)
+        ]
+
     # -- signal pulls -----------------------------------------------------------
+
+    def _normalize(
+        self, locator: str, devices: list[Component], t: float
+    ) -> _Rows:
+        """The normalized-window memo of (``locator``, ``t``), filled for
+        ``devices``.
+
+        Each look-back window is z-scored against its trailing reference
+        window (against itself when the reference holds under two
+        samples; a zero spread divides by 1).  Missing devices read
+        their look-back windows first, then the references of those
+        with samples, and the rows reduce along ``axis=1`` in one pass.
+        """
+        key = (locator, t)
+        rows = self._norm_memo.get(key)
+        missing = self._missing(rows, devices)
+        if rows is None:
+            rows = _Rows()
+        if not missing:
+            return rows
+        T = self.config.lookback
+        ref_span = self.config.reference_multiple * T
+        names = [device.name for device in missing]
+        window = self._serve_series(locator, missing, t - T, t)
+        usable, windows = window.gather(names)
+        if not usable or windows.shape[1] == 0:
+            # Windows without a sample (or no data at all) normalize to
+            # empty rows; no reference is read.
+            normalized = windows
+        else:
+            reference = self._serve_series(
+                locator, [missing[k] for k in usable], t - T - ref_span, t - T
+            )
+            found, references = reference.gather([names[k] for k in usable])
+            if len(found) < len(usable) or references.shape[1] < 2:
+                references = windows
+            means = references.mean(axis=1)
+            stds = references.std(axis=1)
+            stds = np.where(stds == 0.0, 1.0, stds)
+            normalized = (windows - means[:, np.newaxis]) / stds[:, np.newaxis]
+        rows.add(names, usable, normalized)
+        self._norm_memo[key] = rows
+        self._stamp(self._norm_stamps, key, names)
+        return rows
 
     def _normalized_window(
         self, locator: str, device: Component, t: float
     ) -> np.ndarray | None:
-        """The look-back window z-scored against trailing history."""
-        key = (locator, device.name, t)
-        if key in self._norm_memo:
-            return self._norm_memo[key]
-        normalized = self._compute_normalized_window(locator, device, t)
-        self._norm_memo[key] = normalized
-        if self.ttl_enabled:
-            self._norm_stamps[key] = (self.clock(), self._epoch)
-        return normalized
-
-    def _compute_normalized_window(
-        self, locator: str, device: Component, t: float
-    ) -> np.ndarray | None:
-        T = self.config.lookback
-        ref_span = self.config.reference_multiple * T
-        window = self._series(locator, device, t - T, t)
-        if window is None:
-            return None
-        if len(window) == 0:
-            return np.empty(0)
-        reference = self._series(locator, device, t - T - ref_span, t - T)
-        if reference is None or len(reference) < 2:
-            mean, std = window.values.mean(), window.values.std()
-        else:
-            mean, std = reference.values.mean(), reference.values.std()
-        if std == 0.0:
-            std = 1.0
-        return (window.values - mean) / std
-
-    def _prefetch_normalized(
-        self, locator: str, devices: list[Component], t: float
-    ) -> None:
-        """Warm the normalized-window memo for a batch of devices.
-
-        All devices of one (dataset, window) share the sampling grid, so
-        their look-back/reference windows stack into matrices and the
-        z-scoring reduces along one axis — per-row results equal the
-        scalar :meth:`_compute_normalized_window` bit-for-bit.
-        """
-        missing: list[Component] = []
-        seen: set[str] = set()
-        for device in devices:
-            if device.name in seen:
-                continue
-            seen.add(device.name)
-            if (locator, device.name, t) not in self._norm_memo:
-                missing.append(device)
-        if len(missing) < 2:
-            return
-        T = self.config.lookback
-        ref_span = self.config.reference_multiple * T
-        stamp = (self.clock(), self._epoch) if self.ttl_enabled else None
-
-        def memoize(device: Component, value) -> None:
-            key = (locator, device.name, t)
-            self._norm_memo[key] = value
-            if stamp is not None:
-                self._norm_stamps[key] = stamp
-
-        usable: list[tuple[Component, np.ndarray]] = []
-        for device in missing:
-            window = self._series(locator, device, t - T, t)
-            if window is None:
-                memoize(device, None)
-            elif len(window) == 0:
-                memoize(device, np.empty(0))
-            else:
-                usable.append((device, window.values))
-        if not usable:
-            return
-        windows = np.vstack([values for _, values in usable])
-        references = [
-            self._series(locator, device, t - T - ref_span, t - T)
-            for device, _ in usable
-        ]
-        if references[0] is None or len(references[0]) < 2:
-            means = windows.mean(axis=1)
-            stds = windows.std(axis=1)
-        else:
-            ref_matrix = np.vstack([ref.values for ref in references])
-            means = ref_matrix.mean(axis=1)
-            stds = ref_matrix.std(axis=1)
-        stds = np.where(stds == 0.0, 1.0, stds)
-        normalized = (windows - means[:, np.newaxis]) / stds[:, np.newaxis]
-        for row, (device, _) in enumerate(usable):
-            memoize(device, normalized[row])
+        """One device's z-scored look-back window (None: no data)."""
+        rows = self._normalize(locator, [device], t)
+        return rows.row(device.name)
 
     def _pull_group(
         self,
@@ -692,30 +844,26 @@ class FeatureBuilder:
         components: list[Component],
         t: float,
     ) -> tuple[list[np.ndarray], bool]:
-        """Normalized windows for a group; bool marks 'any data source up'."""
-        windows: list[np.ndarray] = []
+        """Pooled normalized windows of a group, one flat part per
+        locator; bool marks 'any data source up'."""
+        parts: list[np.ndarray] = []
         any_active = False
         T = self.config.lookback
         ref_span = self.config.reference_multiple * T
         for locator in group.locators:
             if not self.store.is_active(locator):
                 continue
-            dataset_kinds = self.store.schema(locator).component_kinds
             any_active = True
-            devices: list[Component] = []
-            for component in components:
-                devices.extend(self._observables(component, dataset_kinds))
+            devices = self._devices(locator, components)
             # One batched pull per (dataset, window) warms the memos for
-            # the whole group before the per-device normalization loop.
+            # the whole group before normalization.
             self._prefetch_series(locator, devices, t - T, t)
             self._prefetch_series(locator, devices, t - T - ref_span, t - T)
-            self._prefetch_normalized(locator, devices, t)
-            for component in components:
-                for device in self._observables(component, dataset_kinds):
-                    normalized = self._normalized_window(locator, device, t)
-                    if normalized is not None and len(normalized):
-                        windows.append(normalized)
-        return windows, any_active
+            rows = self._normalize(locator, devices, t)
+            _, pooled = rows.gather([device.name for device in devices])
+            if pooled.size:
+                parts.append(pooled.ravel())
+        return parts, any_active
 
     def _pull_events(
         self,
@@ -727,19 +875,12 @@ class FeatureBuilder:
         if not self.store.is_active(feature.locator):
             return float("nan")
         T = self.config.lookback
-        dataset_kinds = self.store.schema(feature.locator).component_kinds
-        devices = [
-            device
-            for component in components
-            for device in self._observables(component, dataset_kinds)
-        ]
+        devices = self._devices(feature.locator, components)
         self._prefetch_type_counts(feature.locator, devices, t - T, t)
-        count = 0
-        for device in devices:
-            counts = self._type_counts(feature.locator, device, t - T, t)
-            if counts is not None:
-                count += counts.get(feature.event_type, 0)
-        return float(count)
+        rows = self._serve_counts(feature.locator, devices, t - T, t)
+        column = self._count_types(feature.locator).index(feature.event_type)
+        counts = rows.column([device.name for device in devices], column)
+        return float(counts[counts >= 0].sum())
 
     # -- incremental engine -------------------------------------------------
 
@@ -802,7 +943,7 @@ class FeatureBuilder:
                 # whose block is genuinely new content.
                 self._prefetch_series(locator, missing, t - T, t)
                 self._prefetch_series(locator, missing, t - T - ref_span, t - T)
-                self._prefetch_normalized(locator, missing, t)
+                self._normalize(locator, missing, t)
             for device, key in resolved:
                 block = self._block_cache.get(key)
                 if block is None:
@@ -1025,14 +1166,14 @@ class FeatureBuilder:
             if not components:
                 vector[pos : pos + len(STAT_NAMES)] = 0.0
             else:
-                windows, any_active = self._pull_group(group, components, t)
+                parts, any_active = self._pull_group(group, components, t)
                 if not any_active:
                     vector[pos : pos + len(STAT_NAMES)] = np.nan
-                elif not windows:
+                elif not parts:
                     vector[pos : pos + len(STAT_NAMES)] = 0.0
                 else:
                     vector[pos : pos + len(STAT_NAMES)] = _stats(
-                        np.concatenate(windows)
+                        parts[0] if len(parts) == 1 else np.concatenate(parts)
                     )
             pos += len(STAT_NAMES)
         for feature in self.schema.event_features:

@@ -105,10 +105,13 @@ class FaultPlan:
 class FaultyStore:
     """A :class:`MonitoringStore` wrapper that injects planned faults.
 
-    Query methods (scalar and batch) consult the :class:`FaultPlan`
-    before delegating; every other attribute passes straight through to
-    the wrapped store, so a ``FaultyStore`` drops in anywhere a store is
-    accepted (feature builders, CPD+, ``load_scout``).
+    Query methods (scalar, batch and matrix) consult the
+    :class:`FaultPlan` before delegating; every other attribute passes
+    straight through to the wrapped store, so a ``FaultyStore`` drops in
+    anywhere a store is accepted (feature builders, CPD+,
+    ``load_scout``).  Every public ``query_*`` method of the store must
+    be overridden here — a forwarded query would bypass the plan, and
+    ``tests/test_serving_resilience.py`` checks that none is.
     """
 
     def __init__(
@@ -143,6 +146,10 @@ class FaultyStore:
         self._gate(dataset)
         return self.inner.query_series_batch(dataset, components, t0, t1)
 
+    def query_series_matrix(self, dataset, components, t0, t1):
+        self._gate(dataset)
+        return self.inner.query_series_matrix(dataset, components, t0, t1)
+
     def query_events(self, dataset, component, t0, t1):
         self._gate(dataset)
         return self.inner.query_events(dataset, component, t0, t1)
@@ -158,6 +165,12 @@ class FaultyStore:
     def query_event_type_counts_batch(self, dataset, components, t0, t1):
         self._gate(dataset)
         return self.inner.query_event_type_counts_batch(
+            dataset, components, t0, t1
+        )
+
+    def query_event_type_counts_matrix(self, dataset, components, t0, t1):
+        self._gate(dataset)
+        return self.inner.query_event_type_counts_matrix(
             dataset, components, t0, t1
         )
 

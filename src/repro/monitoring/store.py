@@ -76,6 +76,12 @@ def _assemble_events(
     return EventSeries(times_arr, types_tuple)
 
 
+def _event_bins(t0: float, t1: float) -> tuple[int, int]:
+    """The event-bin range ``[first, last]`` of a query window (empty
+    when ``last < first``), clamped at the simulation epoch."""
+    return max(0, int(np.ceil(t0 / _EVENT_BIN))), int(np.floor(t1 / _EVENT_BIN))
+
+
 def _event_parts_from_chunks(
     chunks: list,
     size: int,
@@ -563,85 +569,121 @@ class MonitoringStore:
             np.maximum(values, spec.floor, out=values)
         return TimeSeries(timestamps, values)
 
-    def query_series_batch(
+    def query_series_matrix(
         self, dataset: str, components: list[Component], t0: float, t1: float
-    ) -> list[TimeSeries | None]:
-        """Batched :meth:`query_series` over many components.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`query_series` as one matrix.
 
-        Returns one entry per component, each bit-identical to the
-        scalar query.  With shards enabled every entry is a chunk
-        slice; otherwise all components share the same window, so the
-        bin indices, timestamps, and diurnal baseline are computed once
-        and only the per-component hash noise differs — one broadcast
-        :func:`normal_grid` call replaces ``len(components)`` scalar
-        generator calls, which is where feature pulls spend their time.
+        Returns ``(positions, timestamps, values)``: the indices into
+        ``components`` whose kind the dataset covers (none while it is
+        inactive), the shared sampling grid, and one row of values per
+        covered position — row ``k`` is bit-identical to the scalar
+        query for ``components[positions[k]]``.  All rows share the
+        window, so the bin indices, timestamps and diurnal baseline are
+        computed once and one broadcast :func:`normal_grid` call draws
+        every row's noise; the floor applies once over the matrix, and
+        effects only touch rows of (dataset, component) pairs that have
+        one in the window.  With shards enabled the rows are chunk
+        slices, stacked.
         """
         schema = self.schema(dataset)
         if schema.kind is not DataKind.TIME_SERIES:
             raise ValueError(f"{dataset} is not TIME_SERIES")
         if t1 < t0:
             raise ValueError("query window end must be >= start")
-        out: list[TimeSeries | None] = [None] * len(components)
-        if not self.is_active(dataset):
-            return out
-        covered = [
-            (i, c) for i, c in enumerate(components) if schema.covers(c.kind)
-        ]
-        if not covered:
-            return out
+        positions: list[int] = []
+        if self.is_active(dataset):
+            positions = [
+                i for i, c in enumerate(components) if schema.covers(c.kind)
+            ]
         spec = schema.baseline
         first = max(0, int(np.ceil(t0 / spec.interval)))
-        last = int(np.floor(t1 / spec.interval))
-        if last < first:
-            for i, _ in covered:
-                out[i] = TimeSeries(np.empty(0), np.empty(0))
-            return out
+        last = max(first - 1, int(np.floor(t1 / spec.interval)))
         indices = np.arange(first, last + 1, dtype=np.uint64)
         timestamps = indices.astype(float) * spec.interval
+        rows = np.asarray(positions, dtype=np.intp)
+        if not positions or last < first:
+            return rows, timestamps, np.empty((len(positions), len(indices)))
+        names = [components[i].name for i in positions]
         if self._shards is not None:
-            t_lo, t_hi = timestamps[0], timestamps[-1]
-            sliceable: list[tuple[int, str, int]] = []
-            for i, component in covered:
-                seed = self._series_seed(dataset, component.name)
-                if self._effects_overlap(dataset, component.name, t_lo, t_hi):
-                    values = baseline_series_values(
-                        spec, seed, indices, timestamps
-                    )
-                    values = self._apply_series_effects(
-                        dataset, component.name, timestamps, values
-                    )
-                    if spec.floor is not None:
-                        np.maximum(values, spec.floor, out=values)
-                    out[i] = TimeSeries(timestamps, values)
-                else:
-                    sliceable.append((i, component.name, seed))
-            if sliceable:
-                values_list = self._shard_series_values_batch(
-                    dataset,
-                    [name for _, name, _ in sliceable],
-                    spec,
-                    [seed for _, _, seed in sliceable],
-                    first,
-                    last,
-                )
-                for (i, _, _), values in zip(sliceable, values_list):
-                    out[i] = TimeSeries(timestamps, values)
-            return out
+            return rows, timestamps, self._shard_series_matrix(
+                dataset, names, spec, indices, timestamps, first, last
+            )
         base = spec.mean + spec.diurnal_amp * np.sin(
             2.0 * np.pi * timestamps / _DAY
         )
         seeds = np.array(
-            [self._series_seed(dataset, c.name) for _, c in covered],
+            [self._series_seed(dataset, name) for name in names],
             dtype=np.uint64,
         )
         values = base[np.newaxis, :] + spec.std * normal_grid(seeds, indices)
-        for row, (i, component) in enumerate(covered):
-            series = self._apply_series_effects(
-                dataset, component.name, timestamps, values[row]
+        for row, name in enumerate(names):
+            if (dataset, name) in self._effects:
+                values[row] = self._apply_series_effects(
+                    dataset, name, timestamps, values[row]
+                )
+        if spec.floor is not None:
+            np.maximum(values, spec.floor, out=values)
+        return rows, timestamps, values
+
+    def _shard_series_matrix(
+        self,
+        dataset: str,
+        names: list[str],
+        spec,
+        indices: np.ndarray,
+        timestamps: np.ndarray,
+        first: int,
+        last: int,
+    ) -> np.ndarray:
+        """Shard-mode rows of :meth:`query_series_matrix`, stacked.
+
+        Rows whose window overlaps an effect regenerate on the generated
+        path; every other row is a chunk slice.
+        """
+        t_lo, t_hi = timestamps[0], timestamps[-1]
+        rows: list[np.ndarray | None] = [None] * len(names)
+        sliceable: list[tuple[int, str, int]] = []
+        for row, name in enumerate(names):
+            seed = self._series_seed(dataset, name)
+            if self._effects_overlap(dataset, name, t_lo, t_hi):
+                values = baseline_series_values(spec, seed, indices, timestamps)
+                values = self._apply_series_effects(
+                    dataset, name, timestamps, values
+                )
+                if spec.floor is not None:
+                    np.maximum(values, spec.floor, out=values)
+                rows[row] = values
+            else:
+                sliceable.append((row, name, seed))
+        if sliceable:
+            slices = self._shard_series_values_batch(
+                dataset,
+                [name for _, name, _ in sliceable],
+                spec,
+                [seed for _, _, seed in sliceable],
+                first,
+                last,
             )
-            if spec.floor is not None:
-                np.maximum(series, spec.floor, out=series)
-            out[i] = TimeSeries(timestamps, series)
+            for (row, _, _), values in zip(sliceable, slices):
+                rows[row] = values
+        return np.vstack(rows)
+
+    def query_series_batch(
+        self, dataset: str, components: list[Component], t0: float, t1: float
+    ) -> list[TimeSeries | None]:
+        """:meth:`query_series_matrix` as one entry per component.
+
+        Each covered component gets a :class:`TimeSeries` over its
+        matrix row (bit-identical to the scalar query); the others get
+        None.
+        """
+        positions, timestamps, values = self.query_series_matrix(
+            dataset, components, t0, t1
+        )
+        out: list[TimeSeries | None] = [None] * len(components)
+        for row, i in enumerate(positions.tolist()):
+            out[i] = TimeSeries(timestamps, values[row])
         return out
 
     def _apply_series_effects(
@@ -691,8 +733,7 @@ class MonitoringStore:
         if t1 < t0:
             raise ValueError("query window end must be >= start")
         seed = self._series_seed(dataset, component.name)
-        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
-        last = int(np.floor(t1 / _EVENT_BIN))
+        first, last = _event_bins(t0, t1)
         time_parts: list[np.ndarray] = []
         types: list[str] = []
         if last >= first:
@@ -760,8 +801,7 @@ class MonitoringStore:
         ]
         if not covered:
             return out
-        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
-        last = int(np.floor(t1 / _EVENT_BIN))
+        first, last = _event_bins(t0, t1)
         time_parts: list[list[np.ndarray]] = [[] for _ in covered]
         types: list[list[str]] = [[] for _ in covered]
         if last >= first and self._shards is not None:
@@ -857,8 +897,7 @@ class MonitoringStore:
         if t1 < t0:
             raise ValueError("query window end must be >= start")
         seed = self._series_seed(dataset, component.name)
-        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
-        last = int(np.floor(t1 / _EVENT_BIN))
+        first, last = _event_bins(t0, t1)
         counts: dict[str, int] = {}
         if last >= first:
             if self._shards is not None:
@@ -901,63 +940,94 @@ class MonitoringStore:
             n_events = max(1, int(round(effect.rate * (hi - lo) / _HOUR)))
             counts[effect.event_type] = counts.get(effect.event_type, 0) + n_events
 
-    def query_event_type_counts_batch(
+    def query_event_type_counts_matrix(
         self, dataset: str, components: list[Component], t0: float, t1: float
-    ) -> list[dict[str, int] | None]:
-        """Batched :meth:`query_event_type_counts` (one entry per component).
+    ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+        """Batched :meth:`query_event_type_counts` as one integer matrix.
 
-        Each entry is bit-identical to the scalar query's answer.  With
-        shards enabled the covered components' chunks materialize
-        together (one generator grid per missing chunk number);
-        otherwise the Poisson bin counts of every component hash
-        through one :func:`poisson_counts_grid` call per event type.
+        Returns ``(positions, types, counts)``: the covered indices into
+        ``components`` (as in :meth:`query_series_matrix`), the column
+        event types — the schema's, sorted, then any burst type outside
+        the schema — and a ``(positions × types)`` count matrix whose
+        row ``k`` equals the scalar query's dict for
+        ``components[positions[k]]`` (a type absent from the dict counts
+        0).  Background counts hash through one
+        :func:`poisson_counts_grid` call per event type (or read the
+        shard chunks' cumulative tables); burst counts are added only to
+        rows whose (dataset, component) pair has an effect.
         """
         schema = self.schema(dataset)
         if schema.kind is not DataKind.EVENT:
             raise ValueError(f"{dataset} is not EVENT")
         if t1 < t0:
             raise ValueError("query window end must be >= start")
-        out: list[dict[str, int] | None] = [None] * len(components)
-        if not self.is_active(dataset):
-            return out
-        covered = [
-            (i, c) for i, c in enumerate(components) if schema.covers(c.kind)
-        ]
-        if not covered:
-            return out
-        first = max(0, int(np.ceil(t0 / _EVENT_BIN)))
-        last = int(np.floor(t1 / _EVENT_BIN))
-        names = [c.name for _, c in covered]
-        seeds = [self._series_seed(dataset, name) for name in names]
-        if last < first:
-            per_row: list[dict[str, int]] = [{} for _ in covered]
-        elif self._shards is not None:
-            per_name = self._shard_event_chunks_batch(
-                dataset, names, schema, seeds, first, last
-            )
-            size = self._shards.config.event_chunk
-            per_row = [
-                _event_counts_from_chunks(chunks, size, first, last)
-                for chunks in per_name
+        positions: list[int] = []
+        if self.is_active(dataset):
+            positions = [
+                i for i, c in enumerate(components) if schema.covers(c.kind)
             ]
-        else:
-            # One hash grid per event type covers every (device, bin)
-            # pair; row sums are the scalar query's poisson_counts sums.
-            indices = np.arange(first, last + 1, dtype=np.uint64)
-            grid_seeds = np.array(seeds, dtype=np.uint64)
-            per_row = [{} for _ in covered]
-            for stream, (event_type, hourly_rate) in enumerate(
-                sorted(schema.events.rates.items())
-            ):
-                lam = hourly_rate * _EVENT_BIN / _HOUR
-                totals = poisson_counts_grid(
-                    grid_seeds, indices, lam, stream=stream + 1
-                ).sum(axis=1)
-                for counts, total in zip(per_row, totals.tolist()):
-                    counts[event_type] = total
-        for (i, component), counts in zip(covered, per_row):
-            self._add_burst_counts(dataset, component.name, t0, t1, counts)
-            out[i] = counts
+        types = sorted(schema.events.rates)
+        counts = np.zeros((len(positions), len(types)), dtype=np.int64)
+        names = [components[i].name for i in positions]
+        first, last = _event_bins(t0, t1)
+        if names and last >= first:
+            seeds = [self._series_seed(dataset, name) for name in names]
+            if self._shards is not None:
+                per_name = self._shard_event_chunks_batch(
+                    dataset, names, schema, seeds, first, last
+                )
+                size = self._shards.config.event_chunk
+                for row, chunks in enumerate(per_name):
+                    by_type = _event_counts_from_chunks(chunks, size, first, last)
+                    for col, event_type in enumerate(types):
+                        counts[row, col] = by_type[event_type]
+            else:
+                indices = np.arange(first, last + 1, dtype=np.uint64)
+                grid_seeds = np.array(seeds, dtype=np.uint64)
+                for stream, event_type in enumerate(types):
+                    lam = schema.events.rates[event_type] * _EVENT_BIN / _HOUR
+                    counts[:, stream] = poisson_counts_grid(
+                        grid_seeds, indices, lam, stream=stream + 1
+                    ).sum(axis=1)
+        columns = {event_type: col for col, event_type in enumerate(types)}
+        for row, name in enumerate(names):
+            if (dataset, name) not in self._effects:
+                continue
+            bursts: dict[str, int] = {}
+            self._add_burst_counts(dataset, name, t0, t1, bursts)
+            for event_type, n in bursts.items():
+                col = columns.get(event_type)
+                if col is None:
+                    col = columns[event_type] = len(types)
+                    types.append(event_type)
+                    counts = np.hstack(
+                        [counts, np.zeros((len(names), 1), dtype=np.int64)]
+                    )
+                counts[row, col] += n
+        return np.asarray(positions, dtype=np.intp), tuple(types), counts
+
+    def query_event_type_counts_batch(
+        self, dataset: str, components: list[Component], t0: float, t1: float
+    ) -> list[dict[str, int] | None]:
+        """:meth:`query_event_type_counts_matrix` as one dict per component.
+
+        Each covered component's dict equals the scalar query's: the
+        schema's types whenever the window spans an event bin, plus
+        every type with a nonzero count.  Uncovered components (and all
+        of them while the dataset is inactive) get None.
+        """
+        positions, types, counts = self.query_event_type_counts_matrix(
+            dataset, components, t0, t1
+        )
+        first, last = _event_bins(t0, t1)
+        listed = len(self.schema(dataset).events.rates) if last >= first else 0
+        out: list[dict[str, int] | None] = [None] * len(components)
+        for i, row in zip(positions.tolist(), counts.tolist()):
+            out[i] = {
+                event_type: n
+                for col, (event_type, n) in enumerate(zip(types, row))
+                if n or col < listed
+            }
         return out
 
     # -- convenience -------------------------------------------------------

@@ -284,6 +284,11 @@ class IncidentManager:
         ``acted`` is False — what-if analysis without routing risk.
     confidence_floor:
         Minimum confidence for a "yes" to count in composition.
+    n_jobs:
+        Accepted for compatibility and ignored: an incident's Scouts
+        are always called one after another on the serving thread
+        (see :meth:`_call_scouts`).  Batch concurrency is
+        ``batch_workers``.
     scout_deadline:
         Per-Scout wall-clock budget in seconds (measured on ``clock``).
         A call that finishes over budget is recorded as a ``timeout``
@@ -396,11 +401,9 @@ class IncidentManager:
         self._needs_reshard = False
         self._clock = clock
         # The persistent worker pool (lazily created, grown on demand,
-        # shut down by close()).  It runs per-Scout fan-out calls in
-        # serial handle() *and* per-incident _decide() tasks in batch
-        # mode — batch workers call their Scouts inline rather than
-        # re-submitting to the pool, so the two uses can never deadlock
-        # against each other.
+        # shut down by close()).  It runs handle_batch's per-incident
+        # _decide() tasks only: each task calls its Scouts serially, so
+        # nothing running on the pool ever submits to it.
         self._pool: ThreadPoolExecutor | None = None
         self._pool_size = 0
         self._pool_lock = threading.Lock()
@@ -1053,35 +1056,24 @@ class IncidentManager:
         )
         return result
 
-    def _call_scouts(
-        self, incident: Incident, parent=None, inline: bool = False
-    ) -> list[_CallResult]:
+    def _call_scouts(self, incident: Incident, parent=None) -> list[_CallResult]:
         """Run every registered Scout on one incident.
 
-        Returns ``(team, prediction, outcome)`` in sorted team order —
-        the composition input is deterministic regardless of ``n_jobs``.
-        Each Scout owns its feature builder (and caches), so concurrent
-        per-team predictions never share mutable state; the persistent
-        pool overlaps their monitoring pulls.  Failures never
-        propagate: each call is isolated by :meth:`_call_one`.
-        ``parent`` is the incident's root span: pool threads cannot
-        inherit it from context, so it is passed explicitly and each
-        call attaches its ``scout.call`` child to it.  ``inline`` is
-        set by batch-mode workers, which already *run on* the pool and
-        must not submit to it (tasks waiting on tasks in one
-        fixed-size pool can deadlock).
+        Returns ``(team, prediction, outcome)`` in sorted team order,
+        calling the Scouts one after another on this thread: their
+        feature builds are CPU-bound Python, so spreading one
+        incident's Scouts over threads cost more CPU than it
+        overlapped.  Failures never propagate: each call is isolated by
+        :meth:`_call_one`, which also checks the deadline once the call
+        returns.  ``parent`` is the incident's root span; a batch
+        worker cannot inherit it from context, so it is passed
+        explicitly and each call attaches its ``scout.call`` child to
+        it.
         """
-        teams = sorted(self._scouts)
-
-        def call(team: str):
-            return self._call_one(incident, team, parent)
-
-        n_workers = min(resolve_n_jobs(self.n_jobs), max(1, len(teams)))
-        if not inline and n_workers > 1 and len(teams) > 1:
-            pool = self._ensure_pool(n_workers)
-            futures = [pool.submit(call, team) for team in teams]
-            return [future.result() for future in futures]
-        return [call(team) for team in teams]
+        return [
+            self._call_one(incident, team, parent)
+            for team in sorted(self._scouts)
+        ]
 
     def handle(self, incident: Incident) -> ServingDecision:
         """Fan an incident out to every registered Scout and compose."""
@@ -1096,9 +1088,7 @@ class IncidentManager:
             raise
         return self._commit(staged)
 
-    def _decide(
-        self, incident: Incident, root, inline_scouts: bool = False
-    ) -> _StagedDecision:
+    def _decide(self, incident: Incident, root) -> _StagedDecision:
         """The compute phase: fan out, collect answers, compose.
 
         Safe to run on a pool worker — it touches no shared accounting
@@ -1108,7 +1098,7 @@ class IncidentManager:
         context.
         """
         started = self._clock()
-        results = self._call_scouts(incident, root, inline=inline_scouts)
+        results = self._call_scouts(incident, root)
         answers = [
             ScoutAnswer(
                 r.team, r.prediction.responsible, r.prediction.confidence
@@ -1274,7 +1264,7 @@ class IncidentManager:
         ]
         pool = self._ensure_pool(n_workers)
         futures = [
-            pool.submit(self._decide, incident, root, True)
+            pool.submit(self._decide, incident, root)
             for incident, root in zip(incidents, roots)
         ]
         try:

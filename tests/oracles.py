@@ -7,7 +7,8 @@ import struct
 
 import numpy as np
 
-from repro.core.features import _PERCENTILES, STAT_NAMES
+from repro.core.cpd_plus import _LEAF_KINDS as _CPD_LEAF_KINDS
+from repro.core.features import _PERCENTILES, STAT_NAMES, FeatureBuilder
 from repro.ml.tree import DecisionTreeClassifier, TreeNode, _gini
 from repro.serving.fleet import _SIGNAL_COLS, _SIGNAL_WINDOW
 
@@ -211,3 +212,187 @@ def reference_score_chunk(
         for incident_id, truth_team in pairs
         for row, spec in shard
     ]
+
+
+# -- the default feature path -------------------------------------------------
+
+
+class OracleFeatureBuilder(FeatureBuilder):
+    """The per-device default feature path the matrix path must equal.
+
+    Every pull is a scalar store query memoized per device: one
+    ``TimeSeries`` per (dataset, device, window) and one per-type count
+    dict per (dataset, device, window).  A (dataset, time) batch of
+    look-back windows is z-scored by stacking the device rows with
+    ``np.vstack`` and reducing along ``axis=1``; a group pools its
+    normalized rows with ``np.concatenate`` in locator → component →
+    device order (duplicate devices pool twice); the statistics use
+    ``np.percentile`` (:func:`reference_stats`).  Only ``features`` is
+    replaced — schema, observables and the memo lifecycle are the
+    builder's own.
+    """
+
+    def __init__(self, config, topology, store) -> None:
+        super().__init__(config, topology, store)
+        self._device_series: dict = {}
+        self._device_counts: dict = {}
+
+    def clear_cache(self) -> None:
+        super().clear_cache()
+        self._device_series.clear()
+        self._device_counts.clear()
+
+    def device_series(self, locator, device, t0, t1):
+        key = (locator, device.name, t0, t1)
+        if key not in self._device_series:
+            self._device_series[key] = self.store.query_series(
+                locator, device, t0, t1
+            )
+        return self._device_series[key]
+
+    def device_counts(self, locator, device, t0, t1):
+        key = (locator, device.name, t0, t1)
+        if key not in self._device_counts:
+            self._device_counts[key] = self.store.query_event_type_counts(
+                locator, device, t0, t1
+            )
+        return self._device_counts[key]
+
+    def normalized_windows(self, locator, devices, t) -> list:
+        """Per device, in order: the z-scored look-back window (None
+        when the dataset has no data for it)."""
+        T = self.config.lookback
+        ref_span = self.config.reference_multiple * T
+        windows = [self.device_series(locator, d, t - T, t) for d in devices]
+        out = [None if w is None else np.empty(0) for w in windows]
+        usable = [i for i, w in enumerate(windows) if w is not None and len(w)]
+        if not usable:
+            return out
+        stacked = np.vstack([windows[i].values for i in usable])
+        references = [
+            self.device_series(locator, devices[i], t - T - ref_span, t - T)
+            for i in usable
+        ]
+        if references[0] is None or len(references[0]) < 2:
+            means, stds = stacked.mean(axis=1), stacked.std(axis=1)
+        else:
+            ref_matrix = np.vstack([ref.values for ref in references])
+            means, stds = ref_matrix.mean(axis=1), ref_matrix.std(axis=1)
+        stds = np.where(stds == 0.0, 1.0, stds)
+        normalized = (stacked - means[:, np.newaxis]) / stds[:, np.newaxis]
+        for row, i in enumerate(usable):
+            out[i] = normalized[row]
+        return out
+
+    def devices(self, locator, components) -> list:
+        kinds = self.store.schema(locator).component_kinds
+        return [d for c in components for d in self._observables(c, kinds)]
+
+    def features(self, extracted, t) -> np.ndarray:
+        T = self.config.lookback
+        vector = np.empty(len(self.schema))
+        pos = 0
+        n_stats = len(STAT_NAMES)
+        for group in self.schema.ts_groups:
+            components = extracted.of_kind(group.kind)
+            if not components:
+                vector[pos : pos + n_stats] = 0.0
+                pos += n_stats
+                continue
+            windows = []
+            any_active = False
+            for locator in group.locators:
+                if not self.store.is_active(locator):
+                    continue
+                any_active = True
+                devices = self.devices(locator, components)
+                for window in self.normalized_windows(locator, devices, t):
+                    if window is not None and len(window):
+                        windows.append(window)
+            if not any_active:
+                vector[pos : pos + n_stats] = np.nan
+            elif not windows:
+                vector[pos : pos + n_stats] = 0.0
+            else:
+                vector[pos : pos + n_stats] = reference_stats(
+                    np.concatenate(windows)
+                )
+            pos += n_stats
+        for feature in self.schema.event_features:
+            components = extracted.of_kind(feature.kind)
+            if not components:
+                vector[pos] = 0.0
+            elif not self.store.is_active(feature.locator):
+                vector[pos] = np.nan
+            else:
+                count = 0
+                for device in self.devices(feature.locator, components):
+                    counts = self.device_counts(feature.locator, device, t - T, t)
+                    if counts is not None:
+                        count += counts.get(feature.event_type, 0)
+                vector[pos] = float(count)
+            pos += 1
+        for kind in self.config.kinds:
+            vector[pos] = float(len(extracted.of_kind(kind)))
+            pos += 1
+        return vector
+
+
+def oracle_cpd_signals(cpd, oracle: OracleFeatureBuilder, extracted, t):
+    """CPD+'s signal vector and triggers from per-device pulls.
+
+    Each device window is CUSUM-scanned on its own (``detect``), and
+    event rates come from per-device count dicts.
+    """
+    T = oracle.config.lookback
+    schema = oracle.schema
+    store = oracle.store
+    vector = np.zeros(len(schema.ts_groups) + len(schema.event_features))
+    triggers: list[str] = []
+    for g, group in enumerate(schema.ts_groups):
+        components = extracted.of_kind(group.kind)
+        if not components:
+            continue
+        detections = 0
+        devices = 0
+        for locator in group.locators:
+            if not store.is_active(locator):
+                continue
+            for device in oracle.devices(locator, components):
+                window = oracle.device_series(locator, device, t - T, t)
+                if window is None or len(window) < 6:
+                    continue
+                devices += 1
+                hit = bool(cpd.detector.detect(window.values))
+                detections += int(hit)
+                if hit and group.kind in _CPD_LEAF_KINDS:
+                    triggers.append(
+                        f"change-point in {locator} on {device.name}"
+                    )
+        if devices:
+            vector[g] = detections / devices
+    offset = len(schema.ts_groups)
+    for e, feature in enumerate(schema.event_features):
+        components = extracted.of_kind(feature.kind)
+        if not components or not store.is_active(feature.locator):
+            continue
+        rate = store.schema(feature.locator).events.rates[feature.event_type]
+        devices = oracle.devices(feature.locator, components)
+        abnormal = 0
+        for device in devices:
+            counts = oracle.device_counts(feature.locator, device, t - T, t)
+            if counts is None:
+                continue
+            count = counts.get(feature.event_type, 0)
+            expected = rate * T / 3600.0
+            threshold = max(expected + 1.64 * np.sqrt(expected) + 0.5, 2.5)
+            if count > threshold:
+                abnormal += 1
+                if feature.kind in _CPD_LEAF_KINDS:
+                    triggers.append(
+                        f"{count}x {feature.event_type} events in "
+                        f"{feature.locator} on {device.name}"
+                    )
+        if devices:
+            vector[offset + e] = abnormal / len(devices)
+    return vector, triggers

@@ -10,6 +10,7 @@ score a re-served incident once, and an all-abstain evaluation must
 yield a well-defined zero report.
 """
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,7 @@ from repro.core.selector import Route
 from repro.datacenter import ComponentKind
 from repro.monitoring import FakeClock, FlakyScout
 from repro.obs import Observability
-from repro.serving import IncidentManager
+from repro.serving import CallStatus, IncidentManager
 from repro.simulation import default_teams
 from repro.simulation.teams import DNS, PHYNET, STORAGE
 
@@ -32,6 +33,30 @@ def _mixed_manager(clock, **kwargs):
     manager.register(FlakyScout(PHYNET, responsible=True))
     manager.register(FlakyScout(STORAGE, responsible=False))
     manager.register(FlakyScout(DNS, responsible=None))
+    return manager
+
+
+_TEAMS = sorted([PHYNET, STORAGE, DNS])
+
+
+class _ThreadRecordingScout(FlakyScout):
+    """Records ``(incident id, team, thread name)`` for every call."""
+
+    def __init__(self, team, calls, **kwargs) -> None:
+        super().__init__(team, **kwargs)
+        self._calls = calls
+
+    def predict(self, incident):
+        self._calls.append(
+            (incident.incident_id, self.team, threading.current_thread().name)
+        )
+        return super().predict(incident)
+
+
+def _recording_manager(clock, calls, **kwargs):
+    manager = IncidentManager(default_teams(), clock=clock, **kwargs)
+    for team in _TEAMS:
+        manager.register(_ThreadRecordingScout(team, calls))
     return manager
 
 
@@ -159,16 +184,66 @@ class TestPoolLifecycle:
             assert manager._pool is not None
         assert manager._pool is None
 
-    def test_scout_fanout_uses_the_persistent_pool(self, incidents):
-        manager = _mixed_manager(FakeClock(), n_jobs=3)
+    def test_handle_calls_scouts_serially_without_a_pool(self, incidents):
+        calls: list[tuple[int, str, str]] = []
+        manager = _recording_manager(FakeClock(), calls, n_jobs=3)
+        stream = list(incidents)[:2]
         try:
-            manager.handle(incidents[0])
-            pool = manager._pool
-            assert pool is not None
-            manager.handle(incidents[1])
-            assert manager._pool is pool  # no per-handle executor churn
+            for incident in stream:
+                manager.handle(incident)
+            assert manager._pool is None
+            here = threading.current_thread().name
+            assert calls == [
+                (incident.incident_id, team, here)
+                for incident in stream
+                for team in _TEAMS
+            ]
         finally:
             manager.close()
+
+    def test_slow_scout_times_out_while_peers_answer(self, incidents):
+        clock = FakeClock()
+        manager = IncidentManager(
+            default_teams(), clock=clock, n_jobs=3, scout_deadline=1.0
+        )
+        manager.register(
+            FlakyScout(PHYNET, script=("slow",), clock=clock, slow_seconds=5.0)
+        )
+        manager.register(FlakyScout(STORAGE, responsible=False))
+        manager.register(FlakyScout(DNS, responsible=True))
+        decision = manager.handle(incidents[0])
+        status = {o.team: o.status for o in decision.outcomes}
+        assert status == {
+            PHYNET: CallStatus.TIMEOUT,
+            STORAGE: CallStatus.OK,
+            DNS: CallStatus.OK,
+        }
+        answers = {a.team: a.responsible for a in decision.answers}
+        assert answers == {PHYNET: None, STORAGE: False, DNS: True}
+        assert manager._pool is None
+
+    def test_batch_reuses_one_pool_and_each_incident_stays_on_a_worker(
+        self, incidents
+    ):
+        calls: list[tuple[int, str, str]] = []
+        manager = _recording_manager(
+            FakeClock(), calls, n_jobs=3, batch_workers=2
+        )
+        stream = list(incidents)[:6]
+        try:
+            manager.handle_batch(stream[:3])
+            pool = manager._pool
+            assert pool is not None
+            manager.handle_batch(stream[3:])
+            assert manager._pool is pool
+        finally:
+            manager.close()
+        # Each incident's Scouts ran in team order on one pool worker.
+        for incident in stream:
+            mine = [c for c in calls if c[0] == incident.incident_id]
+            assert [team for _, team, _ in mine] == _TEAMS
+            assert len({name for _, _, name in mine}) == 1
+            assert mine[0][2].startswith("scout-serve")
 
     def test_serial_manager_never_creates_a_pool(self, incidents):
         manager = _mixed_manager(FakeClock())  # n_jobs=1, batch_workers=1

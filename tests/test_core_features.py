@@ -284,12 +284,12 @@ class TestMaterializedEventReference:
         return float(count)
 
     @staticmethod
-    def _device_counts_materialized(self, locator, devices, t0, t1):
+    def _device_counts_materialized(self, locator, devices, t0, t1, event_type):
         out = []
         for device in devices:
             events = self.store.query_events(locator, device, t0, t1)
-            out.append(None if events is None else events.count_by_type())
-        return out
+            out.append(-1 if events is None else events.count_of(event_type))
+        return np.array(out, dtype=np.int64)
 
     @staticmethod
     def _run(scout, incidents):
@@ -323,7 +323,7 @@ class TestMaterializedEventReference:
             FeatureBuilder, "_pull_events", self._pull_events_materialized
         )
         monkeypatch.setattr(
-            FeatureBuilder, "device_event_counts",
+            FeatureBuilder, "device_type_counts",
             self._device_counts_materialized,
         )
         want = self._run(scout, subset)

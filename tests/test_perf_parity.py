@@ -300,11 +300,10 @@ def test_feature_builder_batch_prefetch_matches_scalar(framework, incidents, mon
     from repro.core.features import FeatureBuilder
 
     subset = incidents[:25]
+    # Without the prefetches every device is pulled by its own scalar
+    # store query.
     monkeypatch.setattr(
         FeatureBuilder, "_prefetch_series", lambda self, *a, **k: None
-    )
-    monkeypatch.setattr(
-        FeatureBuilder, "_prefetch_normalized", lambda self, *a, **k: None
     )
     monkeypatch.setattr(
         FeatureBuilder, "_prefetch_type_counts", lambda self, *a, **k: None

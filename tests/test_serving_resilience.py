@@ -220,6 +220,42 @@ def test_faulty_store_dataset_filter(sim):
             store.query_events(target, component, 0.0, 1.0)
 
 
+def test_faulty_store_gates_every_store_query(sim):
+    # FaultyStore forwards what it does not override, so a store query
+    # it missed would reach the store ungated and drills would silently
+    # stop injecting into it.
+    import inspect
+
+    from repro.monitoring.base import DataKind
+    from repro.monitoring.store import MonitoringStore
+
+    queries = sorted(
+        name
+        for name, value in vars(MonitoringStore).items()
+        if name.startswith("query_") and callable(value)
+    )
+    assert {"query_series_matrix", "query_event_type_counts_matrix"} <= set(
+        queries
+    )
+    component = sim.topology.components(ComponentKind.SERVER)[0]
+    by_kind = {}
+    for name in sim.store.dataset_names:
+        schema = sim.store.schema(name)
+        if schema.covers(component.kind):
+            by_kind.setdefault(schema.kind, name)
+    for query in queries:
+        assert query in vars(FaultyStore), f"FaultyStore forwards {query}"
+        params = inspect.signature(getattr(MonitoringStore, query)).parameters
+        target = [component] if "components" in params else component
+        kind = DataKind.TIME_SERIES if "series" in query else DataKind.EVENT
+        dataset = by_kind[kind]
+        store = FaultyStore(sim.store, FaultPlan(fail_first=1))
+        with pytest.raises(TransientMonitoringError):
+            getattr(store, query)(dataset, target, 0.0, 3600.0)
+        getattr(store, query)(dataset, target, 0.0, 3600.0)
+        assert store.queries == 2, query
+
+
 # -- failure isolation in the manager --------------------------------------
 
 
