@@ -30,10 +30,9 @@ Metrics (all wall-clock seconds):
 * ``forest_fit_seconds``      — a bare 120-tree ``RandomForestClassifier.fit``
 * ``batch_predict_seconds``   — ``predict_proba`` over every usable incident
 * ``scout_predict_seconds_mean`` — mean live ``Scout.predict`` per
-  incident at serving steady state: columnar monitoring shards plus the
-  incremental feature engine (byte-identical outputs), after an untimed
-  warm-up pass has faulted in the shards and the engine's
-  content-addressed caches
+  incident at serving steady state: the incremental feature engine
+  (byte-identical outputs), after an untimed warm-up pass has filled
+  the engine's content-addressed caches
 * ``eval_f1``                 — held-out F1, guarding against silent
   accuracy loss from a "fast but wrong" change
 * ``serve_serial_ips`` / ``serve_batch_ips`` / ``serve_batch_speedup`` /
@@ -143,19 +142,16 @@ def run_bench(
     out["batch_predict_rows"] = int(X.shape[0])
 
     # The live-predict laps measure the optimized serving configuration:
-    # columnar monitoring shards plus the incremental feature engine
-    # (byte-identical outputs — see repro.monitoring.shards and
+    # the incremental feature engine (byte-identical outputs — see
     # repro.core.features).  Enabled only now, so the build/train
     # numbers above keep timing the seed featurization path.
     #
-    # An untimed warm-up pass faults in the columnar shards and the
-    # engine's content-addressed state first: the timed laps then
-    # measure *steady-state* serving latency — the configuration a
-    # long-running Scout service converges to, and the one this
-    # architecture optimizes for.  The seed path has no cross-incident
+    # An untimed warm-up pass fills the engine's content-addressed
+    # state first: the timed laps then measure *steady-state* serving
+    # latency — the configuration a long-running Scout service
+    # converges to, and the one this architecture optimizes for.  The seed path has no cross-incident
     # caches (its per-incident memos reset on begin_incident), so the
     # committed seed number is what the same treatment would produce.
-    sim.store.enable_shards()
     framework.builder.incremental = True
     for example in test.examples[:predict_samples]:
         scout.predict(example.incident)

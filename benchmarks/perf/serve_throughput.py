@@ -5,20 +5,12 @@ actually has to survive: a burst of near-duplicate incident reports
 landing at the same timestamp (DeepTriage reports exactly this shape in
 Microsoft's production traffic).  The *serial* reference is the seed
 serving behavior — a ``handle()`` loop with one batch worker, the
-monitoring cache cleared per incident, no shards, full-recompute
-features.  The *batch* measurement runs the same burst through
+monitoring cache cleared per incident, full-recompute features.  The *batch* measurement runs the same burst through
 ``handle_batch`` with ``batch_workers > 1``, a TTL-window monitoring
 cache, and the incremental feature engine, so repeated pulls for the
 same ``(dataset, device, window)`` keys are served from memory and the
 engine's content-addressed pooled results short-circuit re-served
 storm members.
-
-Columnar shards are deliberately *off* here: chunk materialization is
-a cold-start investment (each touched ``(dataset, component)`` signal
-fills a whole chunk) that a 30-incident burst never amortizes — it
-measured ~30% slower than the engine alone on this workload.  Shards
-pay off on the long-running serving path the main bench's steady-state
-predict laps measure, where the warm-up cost is paid once.
 
 Reported metrics (merged into ``BENCH_scout.json``'s ``after`` dict):
 
@@ -48,9 +40,9 @@ def _reset_serving_state(scout) -> None:
     so each manager must see the Scout as a clean slate (and the second
     run must not start with the first run's warm memos).  The serial
     reference must also run the *seed* pipeline — full-recompute
-    features against the un-sharded store — even when the surrounding
-    bench sharded the store earlier, so the shard/engine win shows up
-    in ``serve_batch_speedup`` rather than silently lifting both sides.
+    features — even when the surrounding bench enabled the engine
+    earlier, so the engine win shows up in ``serve_batch_speedup``
+    rather than silently lifting both sides.
     """
     scout.obs = None
     builder = scout.builder
@@ -60,10 +52,6 @@ def _reset_serving_state(scout) -> None:
     builder.incremental = False
     builder.clear_cache()
     builder.clear_engine_cache()
-    store = getattr(builder, "store", None)
-    store = getattr(store, "inner", store)
-    if store is not None and getattr(store, "shards_enabled", False):
-        store.drop_shards()
 
 
 def _counter_total(metrics, name: str) -> float:

@@ -111,20 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: cache cleared per incident)",
         )
         p.add_argument(
-            "--shards",
-            action="store_true",
-            help="serve monitoring queries from columnar per-(dataset, "
-            "component) shards (byte-identical; repeat pulls become "
-            "array slices)",
-        )
-        p.add_argument(
-            "--shard-memmap",
-            default=None,
-            metavar="DIR",
-            help="back series shard chunks with memmap files in DIR "
-            "(implies nothing unless --shards is set)",
-        )
-        p.add_argument(
             "--incremental",
             action="store_true",
             help="use the incremental sliding-window feature engine "
@@ -334,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the injected-fault schedule",
     )
-    batch_flags(p_stream)  # cache/shard/engine knobs, like serve
+    batch_flags(p_stream)  # cache/engine knobs, like serve
     metrics_flags(p_stream)
 
     p_fleet = sub.add_parser(
@@ -731,8 +717,6 @@ def _cmd_serve(args) -> int:
         retry=retry,
         batch_workers=args.batch_workers,
         cache_ttl=args.cache_ttl,
-        shards=args.shards,
-        shard_memmap_dir=args.shard_memmap,
         incremental=args.incremental,
     )
     _register_models(args, manager, sim, store)
@@ -835,8 +819,6 @@ def _cmd_stream(args) -> int:
         clock=clock,
         batch_workers=args.batch_workers,
         cache_ttl=args.cache_ttl,
-        shards=args.shards,
-        shard_memmap_dir=args.shard_memmap,
         incremental=args.incremental,
     )
     registry = _register_models(args, manager, sim, store)

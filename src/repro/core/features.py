@@ -32,7 +32,7 @@ from ..datacenter.topology import Topology
 from ..monitoring.base import DataKind, TimeSeries
 from ..monitoring.store import MonitoringStore
 from .extraction import ExtractedComponents
-from .window_agg import Block, BucketQuantiles, WindowAggregator, exact_percentiles
+from .window_agg import Block, WindowAggregator, exact_percentiles
 
 __all__ = ["FeatureSchema", "FeatureBuilder", "STAT_NAMES"]
 
@@ -275,7 +275,6 @@ class FeatureBuilder:
         topology: Topology,
         store: MonitoringStore,
         incremental: bool = False,
-        approx_quantiles: bool = False,
     ) -> None:
         self.config = config
         self.topology = topology
@@ -356,7 +355,6 @@ class FeatureBuilder:
         #   incident short-circuits to a dict hit instead of re-pooling
         #   every block and re-scanning every device.
         self.incremental = incremental
-        self.approx_quantiles = approx_quantiles
         self._block_cache: dict = {}
         self._group_aggs: dict = {}
         self._group_state: dict = {}
@@ -970,8 +968,7 @@ class FeatureBuilder:
             return memo
         agg = self._group_aggs.get(group_index)
         if agg is None:
-            sketch = BucketQuantiles() if self.approx_quantiles else None
-            agg = WindowAggregator(sketch=sketch)
+            agg = WindowAggregator()
             self._group_aggs[group_index] = agg
         added, dropped = agg.advance(keyed)
         if added:
@@ -1023,9 +1020,8 @@ class FeatureBuilder:
         """Warm the count memo for many devices with one batched query.
 
         ``query_event_type_counts_batch`` is bit-identical per device to
-        the scalar query, and with shards enabled it materializes the
-        devices' missing event chunks together — one generator grid per
-        chunk number instead of one scalar pass per device.
+        the scalar query, and hashes every device's Poisson bins in one
+        grid per event type instead of one scalar pass per device.
         """
         missing: list[Component] = []
         keys: list[tuple] = []

@@ -133,7 +133,6 @@ class ScoutFramework:
         options: TrainingOptions | None = None,
         obs: Observability | None = None,
         incremental: bool = False,
-        approx_quantiles: bool = False,
     ) -> None:
         self.config = config
         self.topology = topology
@@ -143,11 +142,7 @@ class ScoutFramework:
         # ``incremental`` opts the builder into the sliding-window
         # feature engine (byte-identical vectors; see core.features).
         self.builder = FeatureBuilder(
-            config,
-            topology,
-            store,
-            incremental=incremental,
-            approx_quantiles=approx_quantiles,
+            config, topology, store, incremental=incremental
         )
         # Observability sink (None = un-instrumented): per-phase
         # training spans/durations, threaded into the builder's query

@@ -31,12 +31,6 @@ One documented caveat: ``np.percentile`` itself is sign-unstable when
 network orders equal-comparing zeros arbitrarily), so byte-equality is
 guaranteed for zero-canonical inputs.  Feature windows are z-scores and
 cannot produce ``-0.0``.
-
-For callers that prefer bounded work over exactness there is
-:class:`BucketQuantiles`, an opt-in sliding histogram sketch with a
-documented tolerance (half a bucket width inside its range); the engine
-only uses it behind the ``approx_quantiles`` flag, full precision is
-the default.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ import numpy as np
 __all__ = [
     "Block",
     "WindowAggregator",
-    "BucketQuantiles",
     "exact_percentiles",
 ]
 
@@ -91,8 +84,7 @@ class Block:
     no matter how many incidents pool it.
     """
 
-    __slots__ = ("values", "sorted_values", "count", "minimum", "maximum",
-                 "_histogram")
+    __slots__ = ("values", "sorted_values", "count", "minimum", "maximum")
 
     def __init__(self, values: np.ndarray) -> None:
         self.values = values
@@ -100,14 +92,6 @@ class Block:
         self.sorted_values = np.sort(values, kind="stable")
         self.minimum = float(self.sorted_values[0]) if self.count else np.inf
         self.maximum = float(self.sorted_values[-1]) if self.count else -np.inf
-        self._histogram = None
-
-    def histogram(self, edges: np.ndarray) -> np.ndarray:
-        """Bucket counts against ``edges`` (cached for the sketch path)."""
-        if self._histogram is None:
-            positions = np.searchsorted(edges, self.sorted_values, side="right")
-            self._histogram = np.bincount(positions, minlength=len(edges) + 1)
-        return self._histogram
 
 
 class WindowAggregator:
@@ -122,10 +106,9 @@ class WindowAggregator:
     concatenation.
     """
 
-    def __init__(self, sketch: BucketQuantiles | None = None) -> None:
+    def __init__(self) -> None:
         self._blocks: list[tuple[object, Block]] = []
         self._keys: Counter = Counter()
-        self.sketch = sketch
         self.samples_added = 0
         self.samples_dropped = 0
 
@@ -147,29 +130,11 @@ class WindowAggregator:
             sizes[key] * max(0, n - new_keys[key])
             for key, n in self._keys.items()
         )
-        if self.sketch is not None:
-            self._advance_sketch(keyed_blocks, new_keys)
         self._blocks = list(keyed_blocks)
         self._keys = new_keys
         self.samples_added += added
         self.samples_dropped += dropped
         return added, dropped
-
-    def _advance_sketch(
-        self, keyed_blocks: list[tuple[object, Block]], new_keys: Counter
-    ) -> None:
-        """O(delta) histogram maintenance: only diffed blocks touch it."""
-        sketch = self.sketch
-        old_by_key: dict = {}
-        for key, block in self._blocks:
-            old_by_key[key] = block
-        new_by_key = {key: block for key, block in keyed_blocks}
-        for key in set(new_keys) | set(self._keys):
-            delta = new_keys[key] - self._keys[key]
-            if delta > 0:
-                sketch.add(new_by_key[key], delta)
-            elif delta < 0:
-                sketch.remove(old_by_key[key], -delta)
 
     def stats(self, percentiles: tuple[float, ...]) -> np.ndarray:
         """mean/std/min/max + percentiles, byte-equal to the full recompute."""
@@ -191,75 +156,14 @@ class WindowAggregator:
         if total < 2:
             return out  # std and percentile slots stay zero-filled
         out[1] = pooled.std()
-        if self.sketch is not None:
-            out[4:] = self.sketch.percentiles(percentiles)
-        else:
-            merged = (
-                blocks[0].sorted_values
-                if len(blocks) == 1
-                else np.sort(
-                    np.concatenate([block.sorted_values for block in blocks]),
-                    kind="stable",
-                )
+        merged = (
+            blocks[0].sorted_values
+            if len(blocks) == 1
+            else np.sort(
+                np.concatenate([block.sorted_values for block in blocks]),
+                kind="stable",
             )
-            out[4:] = exact_percentiles(merged, percentiles)
+        )
+        out[4:] = exact_percentiles(merged, percentiles)
         return out
 
-
-class BucketQuantiles:
-    """Sliding bucketed quantile sketch (opt-in approximation).
-
-    A fixed histogram over ``[lo, hi]`` at ``resolution``-wide buckets;
-    block histograms add and subtract in O(buckets), making quantile
-    maintenance truly O(delta) even for pathological pool sizes.
-
-    Documented tolerance: a reported quantile is the midpoint of the
-    bucket containing the *lower order statistic* at rank
-    ``floor((n - 1) * q)`` (``np.percentile(.., method="lower")``), so
-    it is within ``resolution / 2`` of that order statistic whenever it
-    lies in ``[lo, hi]``; values outside the range clamp to the edge
-    buckets.  Relative to the default *linear* method the additional
-    error is bounded by the gap to the next order statistic (no
-    interpolation happens inside a bucket).  The defaults (±16 at 1/64
-    resolution) cover z-scored windows — the engine's only input — with
-    worst-case in-range bucket error 0.0078.
-    """
-
-    def __init__(
-        self, lo: float = -16.0, hi: float = 16.0, resolution: float = 1 / 64
-    ) -> None:
-        if hi <= lo or resolution <= 0:
-            raise ValueError("need hi > lo and a positive resolution")
-        n_buckets = int(np.ceil((hi - lo) / resolution))
-        # n_buckets + 1 edges, starting at ``lo`` itself: searchsorted
-        # position 0 is then *strictly* the underflow bucket, positions
-        # 1..n the regular buckets, n+1 the overflow — aligned one-to-one
-        # with ``midpoints`` below.
-        self.edges = lo + resolution * np.arange(n_buckets + 1)
-        self.midpoints = np.concatenate((
-            [lo - resolution / 2.0],
-            lo + resolution * (np.arange(n_buckets) + 0.5),
-            [hi + resolution / 2.0],
-        ))
-        self.counts = np.zeros(n_buckets + 2, dtype=np.int64)
-        self.total = 0
-
-    def add(self, block: Block, copies: int = 1) -> None:
-        hist = block.histogram(self.edges)
-        # Edge buckets absorb out-of-range samples: searchsorted maps
-        # them to positions 0 / n_buckets+1.
-        self.counts[: len(hist)] += copies * hist
-        self.total += copies * block.count
-
-    def remove(self, block: Block, copies: int = 1) -> None:
-        hist = block.histogram(self.edges)
-        self.counts[: len(hist)] -= copies * hist
-        self.total -= copies * block.count
-
-    def percentiles(self, percentiles: tuple[float, ...]) -> np.ndarray:
-        if self.total <= 0:
-            return np.zeros(len(percentiles))
-        ranks = (self.total - 1) * np.true_divide(percentiles, 100)
-        cumulative = np.cumsum(self.counts)
-        buckets = np.searchsorted(cumulative, np.floor(ranks), side="right")
-        return self.midpoints[buckets]

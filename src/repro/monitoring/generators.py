@@ -14,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .base import BaselineSpec, DatasetSchema
+
 __all__ = [
+    "baseline_series_values",
+    "background_event_parts",
     "series_seed",
     "uniform_at",
     "normal_at",
@@ -26,6 +30,11 @@ __all__ = [
 ]
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+_DAY = 86400.0
+_HOUR = 3600.0
+# Event noise is binned at one-minute granularity.
+_EVENT_BIN = 60.0
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -177,3 +186,59 @@ def _poisson_cdf(lam: float) -> np.ndarray:
         cdf = np.cumsum(pmf)
         _POISSON_CDF_CACHE[lam] = cdf
     return cdf
+
+
+def baseline_series_values(
+    spec: BaselineSpec, seed: int, indices: np.ndarray, timestamps: np.ndarray
+) -> np.ndarray:
+    """Healthy baseline samples at ``indices`` (pre-effect, pre-floor).
+
+    The single source of truth for the series value formula: the
+    store's scalar query path calls it, and every operation is
+    elementwise, so a window computed over any sub-range is
+    bit-identical to the same samples of a wider one.
+    """
+    return (
+        spec.mean
+        + spec.diurnal_amp * np.sin(2.0 * np.pi * timestamps / _DAY)
+        + spec.std * normal_at(seed, indices)
+    )
+
+
+def background_event_parts(
+    schema: DatasetSchema, seed: int, first: int, last: int
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Background events for bins ``[first, last]``, in generator order.
+
+    Returns one ``(event_type, times, counts)`` triple per event type
+    (types sorted — the generator's iteration order), where ``times``
+    holds the event timestamps in construction order (bins ascending,
+    the j-th event of a bin hashed at index ``bin + j``) and ``counts``
+    the per-bin event counts.
+    """
+    parts: list[tuple[str, np.ndarray, np.ndarray]] = []
+    n_bins = last - first + 1
+    indices = np.arange(first, last + 1, dtype=np.uint64)
+    for stream, (event_type, hourly_rate) in enumerate(
+        sorted(schema.events.rates.items())
+    ):
+        lam = hourly_rate * _EVENT_BIN / _HOUR
+        counts = poisson_counts(seed, indices, lam, stream=stream + 1)
+        nonzero = counts > 0
+        if not np.any(nonzero):
+            parts.append((event_type, np.empty(0), np.zeros(n_bins, dtype=int)))
+            continue
+        bins = indices[nonzero]
+        per_bin = counts[nonzero]
+        total = int(per_bin.sum())
+        # Event j of a bin draws its offset at hash index ``bin + j``.
+        rep_bins = np.repeat(bins, per_bin)
+        ends = np.cumsum(per_bin)
+        within = (
+            np.arange(total, dtype=np.uint64)
+            - np.repeat(ends - per_bin, per_bin).astype(np.uint64)
+        )
+        offsets = uniform_at(seed, rep_bins + within, stream=1000 + stream)
+        times = rep_bins.astype(float) * _EVENT_BIN + offsets * _EVENT_BIN
+        parts.append((event_type, times, counts))
+    return parts

@@ -318,16 +318,6 @@ class IncidentManager:
         incidents shares its monitoring queries instead of re-issuing
         them per incident.  None (the default) keeps the seed
         per-incident cache lifetime.
-    shards:
-        When True, ``enable_shards()`` is called on every registered
-        Scout's monitoring store: queries are served from columnar
-        per-(dataset, component) chunks — byte-identical, but repeat
-        pulls become array slices.  Stores the manager sharded are
-        un-sharded again by :meth:`close`.
-    shard_memmap_dir:
-        Optional directory for memmap-backed series chunks (shared
-        read-only across processes); implies nothing unless ``shards``
-        is set.
     incremental:
         When True, every registered Scout's builder is switched to the
         incremental sliding-window feature engine (O(delta) window
@@ -353,8 +343,6 @@ class IncidentManager:
         batch_workers: int | None = 1,
         cache_ttl: float | None = None,
         obs: Observability | None = None,
-        shards: bool = False,
-        shard_memmap_dir: str | None = None,
         incremental: bool = False,
     ) -> None:
         self.registry = registry
@@ -365,12 +353,7 @@ class IncidentManager:
         self.retry_policy = retry
         self.batch_workers = batch_workers
         self.cache_ttl = cache_ttl
-        self.shards = shards
-        self.shard_memmap_dir = shard_memmap_dir
         self.incremental = incremental
-        # Stores this manager itself sharded (so close() can undo it
-        # without touching stores sharded by someone else).
-        self._sharded_stores: list = []
         self.obs = obs if obs is not None else Observability(clock=clock)
         self._master = ScoutMaster(registry, confidence_floor=confidence_floor)
         self._scouts: dict[str, Scout] = {}
@@ -395,10 +378,6 @@ class IncidentManager:
         # resolve() is O(decisions for that incident), not O(len(_log)):
         # the full-log scan was quadratic over a stream of resolutions.
         self._log_indices: dict[int, list[int]] = {}
-        # Set by close(): shards were dropped but the manager contract
-        # says it stays usable, so the next serve lazily re-shards
-        # instead of silently taking the slow unsharded path forever.
-        self._needs_reshard = False
         self._clock = clock
         # The persistent worker pool (lazily created, grown on demand,
         # shut down by close()).  It runs handle_batch's per-incident
@@ -556,8 +535,6 @@ class IncidentManager:
                 builder.clock = self._clock
         if self.incremental and builder is not None:
             builder.incremental = True
-        if self.shards and builder is not None:
-            self._shard_builder(builder)
 
     def swap(self, scout: Scout, *, lint: bool = False) -> int:
         """Hot-swap a team's Scout with zero serving downtime.
@@ -602,7 +579,6 @@ class IncidentManager:
                     )
                 self._m_model_epoch.set(epoch, team=team)
                 self._m_swaps.inc(1, team=team)
-        self._prune_sharded_stores()
         return epoch
 
     # -- shadow serving ----------------------------------------------------
@@ -642,7 +618,6 @@ class IncidentManager:
         else:
             with team_lock:
                 self._shadows.pop(team, None)
-        self._prune_sharded_stores()
 
     def promote_shadow(self, team: str) -> int:
         """Swap ``team``'s shadow candidate into production.
@@ -675,68 +650,6 @@ class IncidentManager:
             raise KeyError(f"no registered Scout for {team!r}")
         return epoch
 
-    def _shard_builder(self, builder) -> None:
-        """Enable columnar shards on one builder's store (idempotent)."""
-        store = getattr(builder, "store", None)
-        # Unwrap fault-injection shims: sharding (and the obs
-        # attribute below) belongs to the real store, not the
-        # wrapper — setattr on the wrapper would just shadow the
-        # inner store's property.
-        store = getattr(store, "inner", store)
-        if store is not None and hasattr(store, "enable_shards"):
-            if not store.shards_enabled:
-                store.enable_shards(memmap_dir=self.shard_memmap_dir)
-                if not any(s is store for s in self._sharded_stores):
-                    self._sharded_stores.append(store)
-            if getattr(store, "obs", False) is None:
-                store.obs = self.obs
-
-    def _live_stores(self) -> list:
-        """The (unwrapped) stores some live primary or shadow uses."""
-        stores = []
-        for scout in list(self._scouts.values()) + list(
-            self._shadows.values()
-        ):
-            builder = getattr(scout, "builder", None)
-            store = getattr(builder, "store", None)
-            store = getattr(store, "inner", store)
-            if store is not None:
-                stores.append(store)
-        return stores
-
-    def _prune_sharded_stores(self) -> None:
-        """Drop shard memory for stores no registered model uses.
-
-        Without this, every register/unregister or swap cycle leaves
-        the replaced model's sharded store in ``_sharded_stores``
-        forever — an unbounded leak of chunk memory (and memmap files)
-        over the lifetime of a long-lived serving process.  Stores
-        still referenced by a live primary or shadow keep their shards;
-        the rest are dropped and forgotten here.
-        """
-        if not self._sharded_stores:
-            return
-        live = self._live_stores()
-        kept = []
-        for store in self._sharded_stores:
-            if any(s is store for s in live):
-                kept.append(store)
-            else:
-                store.drop_shards()
-        self._sharded_stores = kept
-
-    def _ensure_shards(self) -> None:
-        """Lazily re-shard after close(): the usable-after-close
-        contract would otherwise serve the slow unsharded path with no
-        signal beyond a missing ``shard_materializations_total``."""
-        if not self._needs_reshard:
-            return
-        self._needs_reshard = False
-        for scout in self._scouts.values():
-            builder = getattr(scout, "builder", None)
-            if builder is not None:
-                self._shard_builder(builder)
-
     def unregister(self, team: str) -> None:
         """Remove a team's Scout and all of its serving state.
 
@@ -765,7 +678,6 @@ class IncidentManager:
             self._monitors.pop(team, None)
             self._breakers.pop(team, None)
             self._breaker_seen.pop(team, None)
-            self._prune_sharded_stores()
             return
         # Lock order mirrors the serving path's worst case (a team
         # lock held while no commit lock is, and vice versa): _commit
@@ -781,7 +693,6 @@ class IncidentManager:
                 self._breakers.pop(team, None)
                 self._breaker_seen.pop(team, None)
                 self._team_locks.pop(team, None)
-        self._prune_sharded_stores()
 
     @property
     def registered_teams(self) -> list[str]:
@@ -827,16 +738,6 @@ class IncidentManager:
                 self._pool.shutdown(wait=True)  # scoutlint: disable=lock-held-blocking
                 self._pool = None
                 self._pool_size = 0
-        # Free chunk memory for stores this manager sharded (stores
-        # sharded elsewhere are someone else's lifecycle).  The manager
-        # stays usable, so remember to re-shard lazily on the next
-        # serve — otherwise a reused manager silently takes the slow
-        # unsharded path.
-        if self._sharded_stores:
-            self._needs_reshard = True
-        for store in self._sharded_stores:
-            store.drop_shards()
-        self._sharded_stores.clear()
 
     def __enter__(self) -> "IncidentManager":
         return self
@@ -1077,7 +978,6 @@ class IncidentManager:
 
     def handle(self, incident: Incident) -> ServingDecision:
         """Fan an incident out to every registered Scout and compose."""
-        self._ensure_shards()
         root = self.obs.trace.start_span(
             "serve.handle", incident_id=incident.incident_id
         )
@@ -1249,7 +1149,6 @@ class IncidentManager:
         serial run would.
         """
         incidents = list(incidents)
-        self._ensure_shards()
         n_workers = resolve_n_jobs(
             self.batch_workers if workers is None else workers
         )

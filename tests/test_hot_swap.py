@@ -3,14 +3,12 @@
 The lifecycle the model registry closes: a replacement Scout lands via
 ``swap()`` with no serving gap (epoch-stamped, deterministic under a
 fake clock), a candidate runs side-by-side via ``register_shadow()``
-without ever touching a routing decision, and the register/unregister/
-swap churn of a long-lived deployment cannot leak sharded-store memory.
+without ever touching a routing decision.
 """
 
 from __future__ import annotations
 
 import threading
-from types import SimpleNamespace
 
 import pytest
 
@@ -158,64 +156,6 @@ class TestSwap:
         assert all(not o.shed for o in outcomes_a)
         epochs = [dict(d[2])[PHYNET] for d in log_a]
         assert epochs == [1] * 5 + [2] * 7  # the swap landed after #5
-
-    def test_swap_cycle_keeps_sharded_store_list_bounded(self):
-        """100 swaps must not accumulate 100 dead sharded stores."""
-
-        class _ShardStore:
-            def __init__(self):
-                self.shards_enabled = False
-                self.obs = None
-                self.dropped = False
-
-            def enable_shards(self, memmap_dir=None):
-                self.shards_enabled = True
-
-            def drop_shards(self):
-                self.shards_enabled = False
-                self.dropped = True
-
-        def scout_with_store():
-            scout = FlakyScout(PHYNET, responsible=False)
-            scout.builder = SimpleNamespace(store=_ShardStore(), obs=None)
-            return scout
-
-        manager = IncidentManager(
-            default_teams(), clock=FakeClock(), shards=True
-        )
-        manager.register(scout_with_store())
-        replaced = []
-        for _ in range(100):
-            replaced.append(manager._scouts[PHYNET].builder.store)
-            manager.swap(scout_with_store())
-        # Before the fix this list held all 101 stores forever.
-        assert len(manager._sharded_stores) == 1
-        assert manager._sharded_stores[0] is manager._scouts[
-            PHYNET
-        ].builder.store
-        assert all(store.dropped for store in replaced)
-
-    def test_register_unregister_cycle_prunes_stores(self):
-        class _ShardStore:
-            def __init__(self):
-                self.shards_enabled = False
-                self.obs = None
-
-            def enable_shards(self, memmap_dir=None):
-                self.shards_enabled = True
-
-            def drop_shards(self):
-                self.shards_enabled = False
-
-        manager = IncidentManager(
-            default_teams(), clock=FakeClock(), shards=True
-        )
-        for _ in range(50):
-            scout = FlakyScout(PHYNET, responsible=False)
-            scout.builder = SimpleNamespace(store=_ShardStore(), obs=None)
-            manager.register(scout)
-            manager.unregister(PHYNET)
-        assert manager._sharded_stores == []
 
 
 class TestShadow:

@@ -1,11 +1,10 @@
 """Incremental feature engine: byte-parity with the full recompute.
 
-The engine's contract (and the shard path's, when enabled underneath
-it) is byte-exactness: feature vectors, CPD+ signals, predictions, and
-the resulting decisions must be *identical* across modes — the only
-permitted difference is how much work the monitoring plane does.  Every
-test here compares the incremental path against the seed full-recompute
-path on the same store, with and without columnar shards.
+The engine's contract is byte-exactness: feature vectors, CPD+
+signals, predictions, and the resulting decisions must be *identical*
+across modes — the only permitted difference is how much work the
+monitoring plane does.  Every test here compares the incremental path
+against the seed full-recompute path on the same store.
 """
 
 from __future__ import annotations
@@ -27,26 +26,15 @@ from repro.obs import Observability
 _N_INCIDENTS = 40
 
 
-@pytest.fixture(params=[False, True], ids=["generated", "sharded"])
-def shard_mode(request, sim):
-    """Run each parity test against both store regimes."""
-    if request.param:
-        sim.store.enable_shards()
-        try:
-            yield True
-        finally:
-            sim.store.drop_shards()
-    else:
-        yield False
+@pytest.fixture(params=[False], ids=["generated"])
+def shard_mode(request):
+    """The store regime under test: the generated store is the only one."""
+    return request.param
 
 
-def _incremental_builder(framework, **kwargs) -> FeatureBuilder:
+def _incremental_builder(framework) -> FeatureBuilder:
     return FeatureBuilder(
-        framework.config,
-        framework.topology,
-        framework.store,
-        incremental=True,
-        **kwargs,
+        framework.config, framework.topology, framework.store, incremental=True
     )
 
 
@@ -242,34 +230,6 @@ class TestObservability:
         assert "window_advance_samples" in text
         queries = obs.metrics.get("monitoring_queries_total")
         assert queries is not None and queries.total() > 0
-
-
-class TestApproxQuantiles:
-    def test_opt_in_only_moves_percentile_slots(self, framework, incidents):
-        exact = _incremental_builder(framework)
-        approx = _incremental_builder(framework, approx_quantiles=True)
-        checked = 0
-        for incident in incidents[:10]:
-            extracted = framework.extractor.extract(incident.text)
-            exact.begin_incident()
-            want = exact.features(extracted, incident.created_at)
-            approx.begin_incident()
-            got = approx.features(extracted, incident.created_at)
-            finite = np.isfinite(want) & np.isfinite(got)
-            # The sketch only perturbs the percentile slots: wherever
-            # the vectors differ, the approximate value must sit exactly
-            # on the histogram's midpoint grid (edge buckets included —
-            # out-of-range order statistics clamp there), while the
-            # count/mean/std/min/max machinery stays byte-exact, so a
-            # majority of slots never moves at all.
-            assert np.array_equal(np.isnan(want), np.isnan(got))
-            moved = finite & (want != got)
-            assert np.all(np.abs(got[moved]) <= 16.0 + 1 / 128 + 1e-9)
-            grid = (got[moved] + 16.0) * 64.0 - 0.5
-            assert np.allclose(grid, np.round(grid), atol=1e-6)
-            assert moved.mean() < 0.8
-            checked += int(moved.sum())
-        assert checked > 0, "sketch never engaged — vacuous parity"
 
 
 class TestRegisteredScoutParity:

@@ -202,7 +202,6 @@ def test_query_events_batch_matches_scalar(burst_store, sim):
 
 def test_query_event_type_counts_batch_matches_scalar(burst_store, sim):
     store = burst_store
-    assert not store.shards_enabled  # the generated (non-shard) branch
     devices = _devices(sim)
     seen_burst = seen_uncovered = False
     for name in _event_datasets(store):

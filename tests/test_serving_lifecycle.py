@@ -1,7 +1,7 @@
 """Serving-lifecycle regressions: the bugs that only bite long-lived
 deployments.
 
-Three fixes, each with a failing-before/passing-after regression test:
+Two fixes, each with a failing-before/passing-after regression test:
 
 * ``resolve()`` used to rescan the entire decision log per call —
   O(n²) over a stream of resolutions.  It now goes through a
@@ -13,10 +13,6 @@ Three fixes, each with a failing-before/passing-after regression test:
   ``_invoke_scout``.  Teardown now waits on the team and commit locks,
   and the serving path degrades calls to a vanished team to ERROR
   abstains.
-* A manager reused after ``close()`` used to silently serve the slow
-  unsharded path forever (close drops shards, nothing re-enabled
-  them).  The next serve now lazily re-shards, visible through the
-  ``shard_materializations_total`` counter.
 """
 
 from __future__ import annotations
@@ -247,54 +243,3 @@ class TestUnregisterRace:
         manager = _flaky_manager()
         manager.unregister("NeverRegistered")
         assert manager.registered_teams == sorted((DNS, PHYNET, STORAGE))
-
-
-# -- fix 3: close() then reuse re-shards lazily ------------------------------
-
-
-def _materializations(manager) -> float:
-    family = manager.obs.metrics.get("shard_materializations_total")
-    return family.total() if family is not None else 0.0
-
-
-class TestCloseThenReuse:
-    def test_reused_manager_lazily_reshards(self, sim, scout, incidents):
-        store = scout.builder.store
-        first, second = list(incidents)[:2]
-        manager = IncidentManager(
-            sim.registry, clock=FakeClock(), shards=True
-        )
-        try:
-            manager.register(scout)
-            assert store.shards_enabled
-            manager.handle(first)
-            materialized = _materializations(manager)
-            assert materialized > 0.0
-
-            manager.close()
-            assert not store.shards_enabled  # chunk memory was freed
-
-            # The usable-after-close contract: the next serve re-shards
-            # instead of silently degrading to the unsharded path.
-            manager.handle(second)
-            assert store.shards_enabled
-            assert _materializations(manager) > materialized
-        finally:
-            manager.close()
-            if store.shards_enabled:
-                store.drop_shards()
-            if getattr(store, "obs", None) is manager.obs:
-                store.obs = None
-            scout.obs = None
-            scout.builder.obs = None
-            scout.builder.cache_ttl = None
-            scout.builder.clock = None
-            scout.builder.clear_cache()
-
-    def test_close_without_shards_stays_inert(self):
-        manager = _flaky_manager(shards=True)  # FlakyScouts have no store
-        manager.handle(_mk(1))
-        manager.close()
-        assert not manager._needs_reshard
-        manager.handle(_mk(2))  # still serves fine
-        assert len(manager.log) == 2

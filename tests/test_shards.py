@@ -1,10 +1,11 @@
-"""Columnar monitoring shards: byte-parity, lifecycle, effects.
+"""Monitoring store: event-type counts, effect generations, round-trips.
 
-The shard path's contract is strict: every query served from columnar
-chunks must be **byte-identical** to the generated answer — same
-floats, same event order — because the whole pipeline's determinism
-pins sit on top of store queries.  The reference in each test is a
-second, never-sharded store built from the same seed.
+The incremental engine keys its cache on ``effects_generation``, the
+count fast path must agree with a full event scan, and parallel dataset
+builds ship the store to workers by pickle.  Each test checks one of
+those contracts on the store's single (generated) storage regime; the
+reference, where one is needed, is a second store built from the same
+seed.
 """
 
 from __future__ import annotations
@@ -15,66 +16,25 @@ import numpy as np
 import pytest
 
 from repro.datacenter import Component, ComponentKind
-from repro.monitoring import (
-    DataKind,
-    FailureEffect,
-    MonitoringStore,
-    phynet_datasets,
-)
-from repro.monitoring.shards import ShardConfig
-from repro.obs import Observability
+from repro.monitoring import FailureEffect, MonitoringStore, phynet_datasets
 
 _HOUR = 3600.0
 _DAY = 86400.0
 _T = 5 * _DAY
 
-# Windows chosen to cover the assembly branches: single chunk,
-# chunk-straddling (series chunks cover 512 * 300 s = 1.78 d; event
-# chunks 512 * 60 s = 8.5 h), clamped-negative start, and empty.
-_WINDOWS = [
-    (_T - 2 * _HOUR, _T),
-    (140000.0, 170000.0),  # straddles series chunk 0 -> 1
-    (-_HOUR, _HOUR),
-    (_T, _T + 1e-9),
-    (10 * _DAY, 10 * _DAY + 6 * _HOUR),
-]
-
 
 @pytest.fixture()
 def fresh() -> MonitoringStore:
-    """Never-sharded reference store."""
     return MonitoringStore(phynet_datasets(), seed=1)
 
 
 @pytest.fixture()
-def sharded() -> MonitoringStore:
-    store = MonitoringStore(phynet_datasets(), seed=1)
-    store.enable_shards()
-    return store
+def store() -> MonitoringStore:
+    return MonitoringStore(phynet_datasets(), seed=1)
 
 
-def _devices() -> list[Component]:
-    return [
-        Component(ComponentKind.SWITCH, "sw-tor0.c1.dc0"),
-        Component(ComponentKind.SWITCH, "sw-agg1.c0.dc0"),
-        Component(ComponentKind.SERVER, "srv-0.c1.dc0"),
-        Component(ComponentKind.SERVER, "srv-3.c2.dc1"),
-        Component(ComponentKind.VM, "vm-0.c1.dc0"),  # uncovered -> None
-    ]
-
-
-def _series_names(store) -> list[str]:
-    return [
-        n for n in store.dataset_names
-        if store.schema(n).kind is DataKind.TIME_SERIES
-    ]
-
-
-def _event_names(store) -> list[str]:
-    return [
-        n for n in store.dataset_names
-        if store.schema(n).kind is DataKind.EVENT
-    ]
+def _switch() -> Component:
+    return Component(ComponentKind.SWITCH, "sw-tor0.c1.dc0")
 
 
 def _assert_series_equal(want, got) -> None:
@@ -82,307 +42,104 @@ def _assert_series_equal(want, got) -> None:
         assert got is None
         return
     assert np.array_equal(want.timestamps, got.timestamps)
-    assert np.array_equal(want.values, got.values)
-
-
-def _assert_events_equal(want, got) -> None:
-    if want is None:
-        assert got is None
-        return
-    assert np.array_equal(want.timestamps, got.timestamps)
-    assert want.types == got.types
-
-
-class TestSeriesParity:
-    def test_scalar_byte_parity(self, fresh, sharded):
-        for name in _series_names(fresh):
-            for window in _WINDOWS:
-                for device in _devices():
-                    want = fresh.query_series(name, device, *window)
-                    got = sharded.query_series(name, device, *window)
-                    _assert_series_equal(want, got)
-        stats = sharded.shard_stats
-        assert stats.series_materializations > 0
-
-    def test_batch_byte_parity(self, fresh, sharded):
-        devices = _devices()
-        for name in _series_names(fresh):
-            for window in _WINDOWS:
-                want = fresh.query_series_batch(name, devices, *window)
-                got = sharded.query_series_batch(name, devices, *window)
-                for w, g in zip(want, got):
-                    _assert_series_equal(w, g)
-
-    def test_tiny_chunks_cross_chunk_parity(self, fresh):
-        store = MonitoringStore(phynet_datasets(), seed=1)
-        store.enable_shards(series_chunk=8, event_chunk=16)
-        switch = _devices()[0]
-        want = fresh.query_series("cpu_usage", switch, _T - _DAY, _T)
-        got = store.query_series("cpu_usage", switch, _T - _DAY, _T)
-        _assert_series_equal(want, got)
-        assert store.shard_stats.series_materializations >= 2
-
-    def test_repeat_queries_do_not_rematerialize(self, sharded):
-        switch = _devices()[0]
-        sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        before = sharded.shard_stats.series_materializations
-        sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        sharded.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T - _HOUR)
-        assert sharded.shard_stats.series_materializations == before
-
-
-class TestEventParity:
-    def test_scalar_byte_parity(self, fresh, sharded):
-        for name in _event_names(fresh):
-            for window in _WINDOWS:
-                for device in _devices():
-                    want = fresh.query_events(name, device, *window)
-                    got = sharded.query_events(name, device, *window)
-                    _assert_events_equal(want, got)
-        assert sharded.shard_stats.event_materializations > 0
-
-    def test_batch_byte_parity(self, fresh, sharded):
-        devices = _devices()
-        for name in _event_names(fresh):
-            for window in _WINDOWS:
-                want = fresh.query_events_batch(name, devices, *window)
-                got = sharded.query_events_batch(name, devices, *window)
-                for w, g in zip(want, got):
-                    _assert_events_equal(w, g)
-
-    def test_tiny_chunks_cross_chunk_parity(self, fresh):
-        store = MonitoringStore(phynet_datasets(), seed=1)
-        store.enable_shards(series_chunk=8, event_chunk=16)
-        switch = _devices()[0]
-        want = fresh.query_events("snmp_syslogs", switch, 0.0, 3 * _DAY)
-        got = store.query_events("snmp_syslogs", switch, 0.0, 3 * _DAY)
-        _assert_events_equal(want, got)
+    assert want.values.tobytes() == got.values.tobytes()
 
 
 class TestTypeCounts:
-    def test_counts_match_event_scan(self, fresh, sharded):
-        # The count fast path must agree with a full event scan on both
-        # the sharded and the generated implementation.
-        for store in (fresh, sharded):
-            for name in _event_names(store):
-                schema = store.schema(name)
-                for device in _devices():
-                    for window in _WINDOWS:
-                        counts = store.query_event_type_counts(
-                            name, device, *window
-                        )
-                        events = store.query_events(name, device, *window)
-                        if events is None:
-                            assert counts is None
-                            continue
-                        assert set(counts) == set(schema.events.rates)
-                        for event_type in counts:
-                            assert counts[event_type] == events.count_of(
-                                event_type
-                            )
-
-    def test_counts_batch_matches_scalar(self, sharded):
-        devices = _devices()
-        for name in _event_names(sharded):
-            batch = sharded.query_event_type_counts_batch(
-                name, devices, _T - 6 * _HOUR, _T
+    def test_counts_with_burst_effect(self, store):
+        switch = _switch()
+        store.inject(
+            FailureEffect(
+                "device_reboots", switch.name, _T - _HOUR, _T,
+                mode="burst", event_type="reboot", rate=6.0,
             )
-            for device, got in zip(devices, batch):
-                want = sharded.query_event_type_counts(
-                    name, device, _T - 6 * _HOUR, _T
-                )
-                assert want == got
-
-    def test_counts_with_burst_effect(self, fresh, sharded):
-        switch = _devices()[0]
-        effect = FailureEffect(
-            "device_reboots", switch.name, _T - _HOUR, _T,
-            mode="burst", event_type="reboot", rate=6.0,
         )
-        for store in (fresh, sharded):
-            store.inject(effect)
-            counts = store.query_event_type_counts(
-                "device_reboots", switch, _T - 2 * _HOUR, _T
-            )
-            events = store.query_events(
-                "device_reboots", switch, _T - 2 * _HOUR, _T
-            )
-            assert counts["reboot"] == events.count_of("reboot")
-            assert counts["reboot"] >= 5
+        counts = store.query_event_type_counts(
+            "device_reboots", switch, _T - 2 * _HOUR, _T
+        )
+        events = store.query_events("device_reboots", switch, _T - 2 * _HOUR, _T)
+        assert {t: n for t, n in counts.items() if n} == events.count_by_type()
+        assert counts["reboot"] >= 5
 
-    def test_series_dataset_rejected(self, sharded):
+    def test_series_dataset_rejected(self, store):
         with pytest.raises(ValueError):
-            sharded.query_event_type_counts(
-                "cpu_usage", _devices()[0], 0.0, _HOUR
-            )
+            store.query_event_type_counts("cpu_usage", _switch(), 0.0, _HOUR)
 
-    def test_backwards_window_rejected(self, sharded):
+    def test_backwards_window_rejected(self, store):
         with pytest.raises(ValueError):
-            sharded.query_event_type_counts(
-                "device_reboots", _devices()[0], _T, _T - 1.0
+            store.query_event_type_counts(
+                "device_reboots", _switch(), _T, _T - 1.0
             )
 
-    def test_inactive_returns_none(self, sharded):
-        sharded.deactivate("device_reboots")
+    def test_inactive_returns_none(self, store):
+        store.deactivate("device_reboots")
         assert (
-            sharded.query_event_type_counts(
-                "device_reboots", _devices()[0], 0.0, _HOUR
+            store.query_event_type_counts(
+                "device_reboots", _switch(), 0.0, _HOUR
             )
             is None
         )
 
 
 class TestEffectsInteraction:
-    def test_series_effect_window_falls_back_byte_exact(self, fresh, sharded):
-        switch = _devices()[0]
-        # Materialize the clean chunk first, then inject: the shard path
-        # must not serve the stale chunk for effect-overlapping windows.
-        sharded.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
-        effect = FailureEffect(
-            "cpu_usage", switch.name, _T - _HOUR, _T, "shift", 0.7
-        )
-        fresh.inject(effect)
-        sharded.inject(effect)
-        want = fresh.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
-        got = sharded.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
-        _assert_series_equal(want, got)
-        # Windows clear of the effect still come from the shard.
-        _assert_series_equal(
-            fresh.query_series("cpu_usage", switch, _T - 9 * _HOUR, _T - 8 * _HOUR),
-            sharded.query_series("cpu_usage", switch, _T - 9 * _HOUR, _T - 8 * _HOUR),
-        )
-
-    def test_effects_generation_bumps(self, sharded):
-        switch = _devices()[0]
-        gen0 = sharded.effects_generation("cpu_usage", switch.name)
-        sharded.inject(
+    def test_effects_generation_bumps(self, store):
+        switch = _switch()
+        gen0 = store.effects_generation("cpu_usage", switch.name)
+        store.inject(
             FailureEffect("cpu_usage", switch.name, 0.0, _HOUR, "shift", 1.0)
         )
-        gen1 = sharded.effects_generation("cpu_usage", switch.name)
+        gen1 = store.effects_generation("cpu_usage", switch.name)
         assert gen1[1] == gen0[1] + 1
-        sharded.clear_effects()
-        gen2 = sharded.effects_generation("cpu_usage", switch.name)
+        snapshot = store.snapshot_effects()
+        store.clear_effects()
+        gen2 = store.effects_generation("cpu_usage", switch.name)
         assert gen2[0] > gen1[0] and gen2[1] == 0
-        sharded.deactivate("cpu_usage")
-        gen3 = sharded.effects_generation("cpu_usage", switch.name)
-        assert gen3[0] > gen2[0]
-        sharded.activate("cpu_usage")
-        assert sharded.effects_generation("cpu_usage", switch.name)[0] > gen3[0]
+        store.restore_effects(snapshot)
+        gen3 = store.effects_generation("cpu_usage", switch.name)
+        assert gen3[0] > gen2[0] and gen3[1] == 1
+        store.deactivate("cpu_usage")
+        gen4 = store.effects_generation("cpu_usage", switch.name)
+        assert gen4[0] > gen3[0]
+        store.activate("cpu_usage")
+        assert store.effects_generation("cpu_usage", switch.name)[0] > gen4[0]
 
-    def test_snapshot_restore_round_trip(self, fresh, sharded):
-        switch = _devices()[0]
+    def test_snapshot_restore_round_trip(self, fresh, store):
+        switch = _switch()
         effect = FailureEffect(
             "cpu_usage", switch.name, _T - _HOUR, _T, "shift", 0.5
         )
-        for store in (fresh, sharded):
-            store.inject(effect)
-        before = sharded.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
-        snapshot = sharded.snapshot_effects()
-        sharded.clear_effects()
-        clean = sharded.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
+        fresh.inject(effect)
+        store.inject(effect)
+        before = store.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
+        snapshot = store.snapshot_effects()
+        store.clear_effects()
+        clean = store.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
         assert not np.array_equal(before.values, clean.values)
-        sharded.restore_effects(snapshot)
-        restored = sharded.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
+        store.restore_effects(snapshot)
+        restored = store.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T)
         _assert_series_equal(before, restored)
-        # And the restored answers still match the never-sharded store.
+        # The restored answers match a store that never dropped the effect.
         _assert_series_equal(
             fresh.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T),
             restored,
         )
 
-    def test_deactivate_with_materialized_shards(self, fresh, sharded):
-        switch = _devices()[0]
-        want = fresh.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        _assert_series_equal(
-            want, sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        )
-        sharded.deactivate("cpu_usage")
-        # Materialized chunks must not leak through a deactivation.
-        assert sharded.query_series("cpu_usage", switch, _T - _HOUR, _T) is None
-        sharded.activate("cpu_usage")
-        _assert_series_equal(
-            want, sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        )
-
 
 class TestLifecycle:
-    def test_enable_is_idempotent(self, sharded):
-        switch = _devices()[0]
-        sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        stats = sharded.shard_stats
-        sharded.enable_shards()  # identical config: cache survives
-        assert sharded.shard_stats.series_materializations == (
-            stats.series_materializations
+    def test_pickle_keeps_mode_drops_chunks(self, fresh, store):
+        switch = _switch()
+        effect = FailureEffect(
+            "cpu_usage", switch.name, _T - _HOUR, _T, "shift", 0.5
         )
-        sharded.enable_shards(series_chunk=64)  # new config: cache drops
-        assert sharded.shard_stats.series_materializations == 0
-
-    def test_drop_returns_to_generated(self, fresh, sharded):
-        switch = _devices()[0]
-        want = fresh.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        sharded.drop_shards()
-        assert not sharded.shards_enabled
-        assert sharded.shard_stats is None
+        fresh.inject(effect)
+        store.inject(effect)
+        store.deactivate("device_reboots")
+        clone = pickle.loads(pickle.dumps(store))
+        # Effects survive the round-trip and answer bit-identically.
         _assert_series_equal(
-            want, sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
+            fresh.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T),
+            clone.query_series("cpu_usage", switch, _T - 2 * _HOUR, _T),
         )
-
-    def test_lru_eviction_bounded_and_correct(self, fresh):
-        store = MonitoringStore(phynet_datasets(), seed=1)
-        store.enable_shards(series_chunk=16, event_chunk=16, max_chunks=4)
-        switch = _devices()[0]
-        for day in range(6):
-            t = (day + 1) * _DAY
-            _assert_series_equal(
-                fresh.query_series("cpu_usage", switch, t - _HOUR, t),
-                store.query_series("cpu_usage", switch, t - _HOUR, t),
-            )
-            _assert_events_equal(
-                fresh.query_events("snmp_syslogs", switch, t - _HOUR, t),
-                store.query_events("snmp_syslogs", switch, t - _HOUR, t),
-            )
-        stats = store.shard_stats
-        assert stats.evictions > 0
-        assert stats.resident_bytes >= 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ShardConfig(series_chunk=0)
-        with pytest.raises(ValueError):
-            ShardConfig(max_chunks=0)
-
-    def test_memmap_backed_chunks(self, fresh, tmp_path):
-        store = MonitoringStore(phynet_datasets(), seed=1)
-        store.enable_shards(memmap_dir=str(tmp_path))
-        switch = _devices()[0]
-        _assert_series_equal(
-            fresh.query_series("cpu_usage", switch, _T - _HOUR, _T),
-            store.query_series("cpu_usage", switch, _T - _HOUR, _T),
-        )
-        assert list(tmp_path.glob("series_*.f64"))
-
-    def test_pickle_keeps_mode_drops_chunks(self, fresh, sharded):
-        switch = _devices()[0]
-        sharded.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        clone = pickle.loads(pickle.dumps(sharded))
-        assert clone.shards_enabled
-        assert clone.shard_stats.series_materializations == 0
-        _assert_series_equal(
-            fresh.query_series("cpu_usage", switch, _T - _HOUR, _T),
-            clone.query_series("cpu_usage", switch, _T - _HOUR, _T),
-        )
-
-    def test_materialization_counter(self):
-        store = MonitoringStore(phynet_datasets(), seed=1)
-        store.enable_shards()
-        store.obs = Observability()
-        switch = _devices()[0]
-        store.query_series("cpu_usage", switch, _T - _HOUR, _T)
-        store.query_events("snmp_syslogs", switch, _T - _HOUR, _T)
-        family = store.obs.metrics.get("shard_materializations_total")
-        assert family is not None
-        assert family.total() == (
-            store.shard_stats.series_materializations
-            + store.shard_stats.event_materializations
-        )
+        # So does the deactivation.
+        assert clone.query_events("device_reboots", switch, 0.0, _HOUR) is None
+        assert fresh.query_events("device_reboots", switch, 0.0, _HOUR) is not None

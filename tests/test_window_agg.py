@@ -4,19 +4,16 @@
 recompute on the pooled concatenation; these tests hold it to that
 claim — against the ``np.percentile`` reference in ``tests/oracles.py``,
 since the builder's ``_stats`` shares ``exact_percentiles`` with the
-engine — across random pools, degenerate windows, and advance sequences, and
-pin the sketch's documented tolerance.
+engine — across random pools, degenerate windows, and advance sequences.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.features import _PERCENTILES
 from repro.core.window_agg import (
     Block,
-    BucketQuantiles,
     WindowAggregator,
     exact_percentiles,
 )
@@ -140,63 +137,3 @@ class TestWindowAggregator:
         assert np.array_equal(
             agg.stats(_PERCENTILES), reference_stats(np.concatenate([w, w]))
         )
-
-
-class TestBucketQuantiles:
-    def test_within_documented_tolerance(self):
-        # The documented bound is against the *lower* order statistic
-        # at rank floor((n-1)*q) — the sketch does not interpolate.
-        rng = np.random.default_rng(5)
-        sketch = BucketQuantiles()
-        resolution = 1 / 64
-        values = rng.normal(size=500)
-        sketch.add(Block(values))
-        got = sketch.percentiles(_PERCENTILES)
-        want = np.percentile(values, _PERCENTILES, method="lower")
-        assert np.all(np.abs(got - want) <= resolution / 2 + 1e-12)
-
-    def test_out_of_range_clamps_to_edge_buckets(self):
-        sketch = BucketQuantiles(lo=-1.0, hi=1.0, resolution=0.5)
-        sketch.add(Block(np.array([-50.0, 0.0, 50.0])))
-        got = sketch.percentiles((0, 50, 100))
-        assert got[0] == -1.25 and got[2] == 1.25  # edge-bucket midpoints
-
-    def test_add_remove_round_trip(self):
-        rng = np.random.default_rng(9)
-        sketch = BucketQuantiles()
-        keep, drop = Block(rng.normal(size=80)), Block(rng.normal(size=60))
-        sketch.add(keep)
-        want = sketch.percentiles(_PERCENTILES).copy()
-        sketch.add(drop)
-        sketch.remove(drop)
-        assert sketch.total == keep.count
-        assert np.array_equal(want, sketch.percentiles(_PERCENTILES))
-
-    def test_empty_sketch_is_zeros(self):
-        assert np.array_equal(
-            BucketQuantiles().percentiles((1, 50, 99)), np.zeros(3)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BucketQuantiles(lo=1.0, hi=0.0)
-        with pytest.raises(ValueError):
-            BucketQuantiles(resolution=0.0)
-
-    def test_aggregator_with_sketch_advances_o_delta(self):
-        rng = np.random.default_rng(21)
-        sketch = BucketQuantiles()
-        agg = WindowAggregator(sketch=sketch)
-        a, b = Block(rng.normal(size=30)), Block(rng.normal(size=40))
-        agg.advance([("a", a)])
-        agg.advance([("a", a), ("b", b)])
-        agg.advance([("b", b)])
-        assert sketch.total == b.count
-        got = agg.stats(_PERCENTILES)
-        exact = reference_stats(b.values)
-        # mean/std/min/max stay exact under the sketch; quantile slots
-        # carry the documented half-bucket tolerance against the lower
-        # order statistic.
-        assert np.array_equal(got[:4], exact[:4])
-        lower = np.percentile(b.values, _PERCENTILES, method="lower")
-        assert np.all(np.abs(got[4:] - lower) <= (1 / 64) / 2 + 1e-12)
