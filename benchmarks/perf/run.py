@@ -30,18 +30,17 @@ Metrics (all wall-clock seconds):
 * ``forest_fit_seconds``      — a bare 120-tree ``RandomForestClassifier.fit``
 * ``batch_predict_seconds``   — ``predict_proba`` over every usable incident
 * ``scout_predict_seconds_mean`` — mean live ``Scout.predict`` per
-  incident at serving steady state: the incremental feature engine
-  (byte-identical outputs), after an untimed warm-up pass has filled
-  the engine's content-addressed caches
+  incident (each prediction pulls its own windows; the builder's memos
+  reset per incident)
 * ``eval_f1``                 — held-out F1, guarding against silent
   accuracy loss from a "fast but wrong" change
 * ``serve_serial_ips`` / ``serve_batch_ips`` / ``serve_batch_speedup`` /
   ``serve_cache_hit_rate`` — the serve-throughput bench (an outage-storm
   burst through a serial ``handle`` loop vs the concurrent
-  ``handle_batch`` pipeline with the TTL monitoring cache; see
-  ``serve_throughput.py``).  Throughput metrics are higher-is-better:
-  the ``--check-against`` gate flags them when they fall *below* the
-  committed numbers by more than the tolerance.
+  ``handle_batch`` pipeline; see ``serve_throughput.py``).  Throughput
+  metrics are higher-is-better: the ``--check-against`` gate flags them
+  when they fall *below* the committed numbers by more than the
+  tolerance.
 * ``stream_soak_ips`` / ``stream_soak_shed_rate`` /
   ``stream_soak_p99_seconds`` — the open-loop streaming soak (a 10⁵
   Poisson arrival trace at 1.5x utilization through the stream server's
@@ -141,20 +140,6 @@ def run_bench(
     out["batch_predict_seconds"] = time.perf_counter() - start
     out["batch_predict_rows"] = int(X.shape[0])
 
-    # The live-predict laps measure the optimized serving configuration:
-    # the incremental feature engine (byte-identical outputs — see
-    # repro.core.features).  Enabled only now, so the build/train
-    # numbers above keep timing the seed featurization path.
-    #
-    # An untimed warm-up pass fills the engine's content-addressed
-    # state first: the timed laps then measure *steady-state* serving
-    # latency — the configuration a long-running Scout service
-    # converges to, and the one this architecture optimizes for.  The seed path has no cross-incident
-    # caches (its per-incident memos reset on begin_incident), so the
-    # committed seed number is what the same treatment would produce.
-    framework.builder.incremental = True
-    for example in test.examples[:predict_samples]:
-        scout.predict(example.incident)
     laps = []
     for example in test.examples[:predict_samples]:
         start = time.perf_counter()

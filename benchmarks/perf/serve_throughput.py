@@ -3,20 +3,17 @@
 The workload models an outage storm — the situation the serving layer
 actually has to survive: a burst of near-duplicate incident reports
 landing at the same timestamp (DeepTriage reports exactly this shape in
-Microsoft's production traffic).  The *serial* reference is the seed
-serving behavior — a ``handle()`` loop with one batch worker, the
-monitoring cache cleared per incident, full-recompute features.  The *batch* measurement runs the same burst through
-``handle_batch`` with ``batch_workers > 1``, a TTL-window monitoring
-cache, and the incremental feature engine, so repeated pulls for the
-same ``(dataset, device, window)`` keys are served from memory and the
-engine's content-addressed pooled results short-circuit re-served
-storm members.
+Microsoft's production traffic).  The *serial* reference is a
+``handle()`` loop with one batch worker.  The *batch* measurement runs
+the same burst through ``handle_batch`` with ``batch_workers > 1``.
+Both sides build features the same way: each prediction pulls its own
+windows into memos that reset per incident.
 
 Reported metrics (merged into ``BENCH_scout.json``'s ``after`` dict):
 
 * ``serve_serial_ips``     — incidents/sec through the serial loop
 * ``serve_batch_ips``      — incidents/sec through the batch pipeline
-* ``serve_batch_speedup``  — batch over serial (the ≥ 2x target)
+* ``serve_batch_speedup``  — batch over serial
 * ``serve_cache_hit_rate`` — memo hits / (hits + store pulls) during
   the batch run (batched pulls count as one store query each)
 * ``serve_burst_incidents`` — burst size, for context
@@ -33,25 +30,17 @@ __all__ = ["run_serve_bench"]
 
 
 def _reset_serving_state(scout) -> None:
-    """Return a Scout to its un-instrumented, cache-cold seed default.
+    """Return a Scout to its un-instrumented, cache-cold default.
 
     The bench registers one Scout with two managers in sequence;
-    registration only injects obs/cache policy into *unset* attributes,
-    so each manager must see the Scout as a clean slate (and the second
-    run must not start with the first run's warm memos).  The serial
-    reference must also run the *seed* pipeline — full-recompute
-    features — even when the surrounding bench enabled the engine
-    earlier, so the engine win shows up in ``serve_batch_speedup``
-    rather than silently lifting both sides.
+    registration only injects obs into *unset* attributes, so each
+    manager must see the Scout as a clean slate (and the second run
+    must not start with the first run's warm memos).
     """
     scout.obs = None
     builder = scout.builder
     builder.obs = None
-    builder.cache_ttl = None
-    builder.clock = None
-    builder.incremental = False
     builder.clear_cache()
-    builder.clear_engine_cache()
 
 
 def _counter_total(metrics, name: str) -> float:
@@ -65,7 +54,6 @@ def run_serve_bench(
     incidents,
     repeats: int = 5,
     batch_workers: int = 4,
-    cache_ttl: float = 3600.0,
 ) -> dict:
     """Time the storm burst through both serving paths.
 
@@ -96,11 +84,7 @@ def run_serve_bench(
 
     _reset_serving_state(scout)
     with IncidentManager(
-        registry,
-        n_jobs=1,
-        batch_workers=batch_workers,
-        cache_ttl=cache_ttl,
-        incremental=True,
+        registry, n_jobs=1, batch_workers=batch_workers
     ) as manager:
         manager.register(scout)
         start = time.perf_counter()
@@ -109,12 +93,10 @@ def run_serve_bench(
         metrics = manager.obs.metrics
         queries = _counter_total(metrics, "monitoring_queries_total")
         hits = _counter_total(metrics, "monitoring_cache_hits_total")
-        cross = _counter_total(metrics, "monitoring_cache_cross_hits_total")
     out["serve_batch_ips"] = len(burst) / batch_seconds
     out["serve_batch_speedup"] = round(serial_seconds / batch_seconds, 3)
     lookups = queries + hits
     out["serve_cache_hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
-    out["serve_cache_cross_hits"] = int(cross)
 
     _reset_serving_state(scout)
     return out

@@ -102,20 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="incidents served concurrently by handle_batch "
             "(1 = serial, -1 = all cores)",
         )
-        p.add_argument(
-            "--cache-ttl",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="cross-incident monitoring-cache TTL in seconds "
-            "(default: cache cleared per incident)",
-        )
-        p.add_argument(
-            "--incremental",
-            action="store_true",
-            help="use the incremental sliding-window feature engine "
-            "(O(delta) window advance; byte-identical vectors)",
-        )
 
     def metrics_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -320,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the injected-fault schedule",
     )
-    batch_flags(p_stream)  # cache/engine knobs, like serve
+    batch_flags(p_stream)  # --batch-workers, like serve
     metrics_flags(p_stream)
 
     p_fleet = sub.add_parser(
@@ -716,8 +702,6 @@ def _cmd_serve(args) -> int:
         breaker=breaker,
         retry=retry,
         batch_workers=args.batch_workers,
-        cache_ttl=args.cache_ttl,
-        incremental=args.incremental,
     )
     _register_models(args, manager, sim, store)
     print(
@@ -733,22 +717,6 @@ def _cmd_serve(args) -> int:
         manager.handle_batch(list(incidents))
     for incident in incidents:
         manager.resolve(incident.incident_id, incident.responsible_team)
-    if args.cache_ttl is not None:
-        metrics = manager.obs.metrics
-
-        def counter_total(name: str) -> float:
-            family = metrics.get(name)
-            return family.total() if family is not None else 0.0
-
-        queries = counter_total("monitoring_queries_total")
-        hits = counter_total("monitoring_cache_hits_total")
-        cross = counter_total("monitoring_cache_cross_hits_total")
-        lookups = queries + hits
-        rate = hits / lookups if lookups else 0.0
-        print(
-            f"monitoring cache: {int(queries)} pulls, {int(hits)} hits "
-            f"({int(cross)} cross-incident), hit-rate={rate:.3f}"
-        )
     print()
     print(availability_from_registry(manager.obs.metrics).render())
     print()
@@ -818,8 +786,6 @@ def _cmd_stream(args) -> int:
         n_jobs=args.jobs,
         clock=clock,
         batch_workers=args.batch_workers,
-        cache_ttl=args.cache_ttl,
-        incremental=args.incremental,
     )
     registry = _register_models(args, manager, sim, store)
     server = StreamServer(

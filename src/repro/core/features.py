@@ -32,12 +32,9 @@ from ..datacenter.topology import Topology
 from ..monitoring.base import DataKind, TimeSeries
 from ..monitoring.store import MonitoringStore
 from .extraction import ExtractedComponents
-from .window_agg import Block, WindowAggregator, exact_percentiles
+from .window_agg import exact_percentiles
 
 __all__ = ["FeatureSchema", "FeatureBuilder", "STAT_NAMES"]
-
-# Event noise is binned at one-minute granularity (mirrors the store).
-_EVENT_BIN = 60.0
 
 STAT_NAMES = (
     "mean", "std", "min", "max",
@@ -236,13 +233,6 @@ class _Rows:
             self._views = views
         return view
 
-    def forget(self, name: str) -> bool:
-        """Drop a name (TTL eviction); True when no name is left."""
-        self.index.pop(name, None)
-        if self._views is not None:
-            self._views.pop(name, None)
-        return not self.index
-
 
 def _publishes_counts(method):
     """Flush the builder's tallied counter ticks when the outermost
@@ -274,31 +264,20 @@ class FeatureBuilder:
         config: ScoutConfig,
         topology: Topology,
         store: MonitoringStore,
-        incremental: bool = False,
     ) -> None:
         self.config = config
         self.topology = topology
         self.store = store
         self.schema = FeatureSchema(config, store)
-        # Three cache lifetimes, all initialized here so clear_cache()
+        # Two cache lifetimes, both initialized here so clear_cache()
         # and pickling (parallel dataset builds ship builders to
         # workers) always see every memo:
         #
         # * per-incident — cluster/DC/leaf feature groups and CPD+ all
         #   re-read the same (dataset, device, window) series/counts;
-        #   each memo maps (locator, window) to one _Rows matrix.  With
-        #   no TTL configured (the default), callers reset these
-        #   between incidents via clear_cache()/begin_incident();
-        # * TTL-window — when ``cache_ttl`` and ``clock`` are set (the
-        #   incident manager threads its own injectable clock in at
-        #   registration), the same memos survive *across* incidents:
-        #   keys already carry the exact query window
-        #   ``(locator, t0, t1)``, so a burst of correlated
-        #   incidents at the same timestamps shares pulls instead of
-        #   re-issuing them N times.  Entries are stamped with their
-        #   insertion time per (memo key, device) and evicted once
-        #   older than ``cache_ttl`` (on the injectable clock, so
-        #   fake-clock tests are exact);
+        #   each memo maps (locator, window) to one _Rows matrix.
+        #   Callers reset these between incidents via
+        #   clear_cache()/begin_incident();
         # * topology-lifetime — ``_observables_memo`` maps a container
         #   component to its observable leaf devices, which depends only
         #   on the (immutable) topology and config, so clear_cache()
@@ -309,16 +288,6 @@ class FeatureBuilder:
         self._type_counts_memo: dict[tuple, _Rows] = {}
         self._observables_memo: dict = {}
         self._count_types_memo: dict[str, list[str]] = {}
-        # TTL-window cache state: ``cache_ttl=None`` keeps the seed
-        # behavior (per-incident memos).  ``_epoch`` counts live
-        # predictions so a memo hit can tell "same incident re-query"
-        # from a genuine cross-incident hit.
-        self.cache_ttl: float | None = None
-        self.clock = None
-        self._epoch = 0
-        self._series_stamps: dict = {}
-        self._norm_stamps: dict = {}
-        self._type_counts_stamps: dict = {}
         # Observability sink (None = un-instrumented): counts store
         # queries vs. memo hits.  Threaded in by the incident manager
         # at Scout registration or by an instrumented framework; the
@@ -330,57 +299,11 @@ class FeatureBuilder:
         self._bound_counters: dict = {}
         self._pending_counts: dict = {}
         self._call_depth = 0
-        # Incremental feature engine (default off — the seed behavior
-        # and the FaultyStore ordinal sequences stay untouched unless a
-        # caller opts in).  All engine caches are *content-addressed*:
-        # keys encode the signal identity, the sampling-grid window,
-        # and the store's effects generation, so entries can never go
-        # stale and survive across incidents without TTL bookkeeping.
-        #
-        # * _block_cache — (locator, device, window grid, reference
-        #   grid, effects gen) → Block (normalized window + per-block
-        #   aggregates).  A storm of incidents over an unchanged grid
-        #   reuses blocks with zero store traffic.
-        # * _group_aggs / _group_state — per ts-group WindowAggregator
-        #   and its last (pool composition, stats) pair: an unchanged
-        #   pool short-circuits to the cached eleven statistics.
-        # * _count_memo — content-addressed per-type event counts
-        #   (bins + effects gen; windows of pairs carrying burst
-        #   effects key on the exact float window, since burst counts
-        #   depend on it).
-        # * _group_stats_memo / _event_totals_memo — pooled results
-        #   one level up: the eleven statistics keyed on a group's full
-        #   block-key tuple, and a dataset's per-type totals keyed on
-        #   (components, bin grid, dataset effects token).  A re-served
-        #   incident short-circuits to a dict hit instead of re-pooling
-        #   every block and re-scanning every device.
-        self.incremental = incremental
-        self._block_cache: dict = {}
-        self._group_aggs: dict = {}
-        self._group_state: dict = {}
-        self._count_memo: dict = {}
-        self._group_stats_memo: dict = {}
-        self._event_totals_memo: dict = {}
-        # Engine entries are stamped with the inserting epoch (kept
-        # beside the memos, not inside the stored values) so a hit can
-        # tell same-incident re-queries from genuine cross-incident
-        # reuse — the engine caches deliberately outlive incidents, and
-        # their hits must feed the cross-hit counter just like the
-        # TTL-window memos' do.
-        self._engine_stamps: dict = {}
-        self._engine_cap = 65536
 
     def __getstate__(self) -> dict:
-        # Engine caches are working state: drop them when builders ship
-        # to dataset-build worker processes (they rebuild lazily).
+        # Counter handles belong to this process's registry: workers
+        # that receive a pickled builder bind their own.
         state = self.__dict__.copy()
-        state["_block_cache"] = {}
-        state["_group_aggs"] = {}
-        state["_group_state"] = {}
-        state["_count_memo"] = {}
-        state["_group_stats_memo"] = {}
-        state["_event_totals_memo"] = {}
-        state["_engine_stamps"] = {}
         state["_bound_counters"] = {}
         state["_pending_counts"] = {}
         return state
@@ -398,13 +321,6 @@ class FeatureBuilder:
     _COUNTER_HELP = {
         "monitoring_queries_total": "Monitoring-store pulls by query kind.",
         "monitoring_cache_hits_total": "Feature-builder memo hits by query kind.",
-        "monitoring_cache_cross_hits_total": (
-            "Memo hits served from an earlier incident's work "
-            "(TTL-window and incremental-engine caches)."
-        ),
-        "window_advance_samples": (
-            "Samples entering/leaving incremental group windows on advance."
-        ),
     }
 
     def _count(self, metric: str, kind: str, n: int = 1) -> None:
@@ -444,128 +360,21 @@ class FeatureBuilder:
         self._series_memo.clear()
         self._norm_memo.clear()
         self._type_counts_memo.clear()
-        self._series_stamps.clear()
-        self._norm_stamps.clear()
-        self._type_counts_stamps.clear()
-
-    def clear_engine_cache(self) -> None:
-        """Reset the incremental engine's content-addressed state.
-
-        Never required for correctness — engine keys encode everything
-        an entry depends on — but benchmarks reset it for cold-start
-        fairness and long-lived servers get a bounded-memory backstop
-        via the ``_engine_cap`` trim in :meth:`begin_incident`.
-        """
-        self._block_cache.clear()
-        self._group_aggs.clear()
-        self._group_state.clear()
-        self._count_memo.clear()
-        self._group_stats_memo.clear()
-        self._event_totals_memo.clear()
-        self._engine_stamps.clear()
-
-    # -- cache lifecycle ----------------------------------------------------
-
-    @property
-    def ttl_enabled(self) -> bool:
-        """Is the cross-incident TTL-window cache active?"""
-        return self.cache_ttl is not None and self.clock is not None
 
     def begin_incident(self) -> None:
-        """Open one live prediction's cache scope.
-
-        Without a TTL this is exactly the seed behavior — the
-        per-incident memos reset.  With ``cache_ttl`` and ``clock`` set,
-        the memos survive across incidents: only entries older than the
-        TTL are evicted, and the epoch bump lets hits on surviving
-        entries be counted as cross-incident.
-        """
-        engine_entries = (
-            len(self._block_cache)
-            + len(self._count_memo)
-            + len(self._group_stats_memo)
-            + len(self._event_totals_memo)
-        )
-        if engine_entries > self._engine_cap:
-            self.clear_engine_cache()
-        # The epoch advances for every live prediction regardless of
-        # TTL mode: the incremental engine's content-addressed caches
-        # survive incidents even without a TTL, and their hits need the
-        # epoch to classify cross-incident reuse.
-        self._epoch += 1
-        if not self.ttl_enabled:
-            self.clear_cache()
-            return
-        self.evict_expired()
-
-    def evict_expired(self) -> None:
-        """Drop TTL-window entries whose age reached ``cache_ttl``."""
-        if not self.ttl_enabled:
-            return
-        cutoff = self.clock() - self.cache_ttl
-        for memo, stamps in (
-            (self._series_memo, self._series_stamps),
-            (self._norm_memo, self._norm_stamps),
-            (self._type_counts_memo, self._type_counts_stamps),
-        ):
-            expired = [key for key, (at, _) in stamps.items() if at <= cutoff]
-            for key in expired:
-                del stamps[key]
-                memo_key, name = key
-                rows = memo.get(memo_key)
-                if rows is not None and rows.forget(name):
-                    del memo[memo_key]
-
-    def _note_hits(self, kind: str, stamps: dict, key, devices) -> None:
-        """Count one memo hit per entry of ``devices``; hits on entries
-        an earlier incident stored also count as cross-incident hits."""
-        self._count("monitoring_cache_hits_total", kind, len(devices))
-        if self.cache_ttl is None:
-            return
-        cross = 0
-        for device in devices:
-            stamp = stamps.get((key, device.name))
-            if stamp is not None and stamp[1] != self._epoch:
-                cross += 1
-        if cross:
-            self._count("monitoring_cache_cross_hits_total", kind, cross)
-
-    def _note_engine_hit(self, kind: str, key) -> None:
-        """Count an engine-cache hit, classifying cross-incident reuse.
-
-        The engine memos are content-addressed and live across
-        incidents by design, so — unlike :meth:`_note_hits` — the
-        cross-hit classification does not depend on a TTL being
-        configured: an entry inserted during an earlier prediction
-        epoch that satisfies this one *is* the cross-incident cache
-        working, and the serve bench's ``serve_cache_cross_hits``
-        read-out regressed to zero exactly because these hits went
-        uncounted when the batch path switched to the engine.
-        """
-        self._count("monitoring_cache_hits_total", kind)
-        stamp = self._engine_stamps.get(key)
-        if stamp is not None and stamp != self._epoch:
-            self._count("monitoring_cache_cross_hits_total", kind)
-
-    def _stamp_engine(self, key) -> None:
-        """Record which prediction epoch inserted an engine entry."""
-        self._engine_stamps[key] = self._epoch
+        """Open one live prediction's cache scope: the per-incident
+        memos reset."""
+        self.clear_cache()
 
     # -- memoized pulls -----------------------------------------------------
     #
-    # The per-incident (or TTL-window) memos hold one _Rows per
-    # (locator, window): the pulled matrix plus a device name -> row
-    # index.  The query sequence is the seed's, which the fault drills
-    # pin by ordinal: a pull that finds two or more distinct devices
-    # missing issues one batch query; any device still missing when
-    # its values are read is pulled by a scalar query at that point,
-    # and every read served from the memo counts one cache hit.
-
-    def _stamp(self, stamps: dict, key, names) -> None:
-        if self.ttl_enabled:
-            stamp = (self.clock(), self._epoch)
-            for name in names:
-                stamps[(key, name)] = stamp
+    # The per-incident memos hold one _Rows per (locator, window): the
+    # pulled matrix plus a device name -> row index.  The query
+    # sequence is the seed's, which the fault drills pin by ordinal: a
+    # pull that finds two or more distinct devices missing issues one
+    # batch query; any device still missing when its values are read
+    # is pulled by a scalar query at that point, and every read served
+    # from the memo counts one cache hit.
 
     @staticmethod
     def _missing(rows: _Rows | None, devices: list[Component]) -> list[Component]:
@@ -580,7 +389,7 @@ class FeatureBuilder:
                 missing.append(device)
         return missing
 
-    def _serve(self, memo, stamps, kind, scalar, locator, devices, t0, t1):
+    def _serve(self, memo, kind, scalar, locator, devices, t0, t1):
         """Read ``devices`` (in order) through one (locator, window) memo.
 
         Devices already memoized count a hit each; the others are pulled
@@ -592,24 +401,23 @@ class FeatureBuilder:
         rows = memo.get(key)
         if rows is not None and all(d.name in rows.index for d in devices):
             if devices:
-                self._note_hits(kind, stamps, key, devices)
+                self._count("monitoring_cache_hits_total", kind, len(devices))
             return rows
-        hits: list[Component] = []
+        hits = 0
         for device in devices:
             if rows is not None and device.name in rows.index:
-                hits.append(device)
+                hits += 1
                 continue
             if hits:
-                self._note_hits(kind, stamps, key, hits)
-                hits = []
+                self._count("monitoring_cache_hits_total", kind, hits)
+                hits = 0
             self._count("monitoring_queries_total", kind)
             row, timestamps = scalar(locator, device, t0, t1)
             if rows is None:
                 rows = memo[key] = _Rows()
             rows.add_row(device.name, row, timestamps)
-            self._stamp(stamps, key, (device.name,))
         if hits:
-            self._note_hits(kind, stamps, key, hits)
+            self._count("monitoring_cache_hits_total", kind, hits)
         return rows if rows is not None else _Rows()
 
     def _scalar_series(self, locator, device, t0, t1):
@@ -635,13 +443,13 @@ class FeatureBuilder:
 
     def _serve_series(self, locator, devices, t0, t1) -> _Rows:
         return self._serve(
-            self._series_memo, self._series_stamps, "series",
+            self._series_memo, "series",
             self._scalar_series, locator, devices, t0, t1,
         )
 
     def _serve_counts(self, locator, devices, t0, t1) -> _Rows:
         return self._serve(
-            self._type_counts_memo, self._type_counts_stamps, "event_counts",
+            self._type_counts_memo, "event_counts",
             self._scalar_counts, locator, devices, t0, t1,
         )
 
@@ -671,7 +479,6 @@ class FeatureBuilder:
         self._series_memo.setdefault(key, _Rows()).add(
             names, positions.tolist(), values, timestamps
         )
-        self._stamp(self._series_stamps, key, names)
 
     prefetch_series = _publishes_counts(_prefetch_series)
 
@@ -711,7 +518,6 @@ class FeatureBuilder:
         self._type_counts_memo.setdefault(key, _Rows()).add(
             names, positions.tolist(), counts[:, columns]
         )
-        self._stamp(self._type_counts_stamps, key, names)
 
     @_publishes_counts
     def device_type_counts(
@@ -724,23 +530,10 @@ class FeatureBuilder:
     ) -> np.ndarray:
         """Per-device counts of one schema event type, in order (CPD+).
 
-        -1 marks a device the dataset has no data for.  The incremental
-        engine first warms its content-addressed memo with one batch
-        query; the default path reads device by device through the
-        per-incident memo, the query sequence CPD+ has always issued
-        there.
+        -1 marks a device the dataset has no data for.  Devices are read
+        one by one through the per-incident memo, the query sequence
+        CPD+ has always issued.
         """
-        if self.incremental:
-            self._prefetch_event_counts(locator, devices, t0, t1)
-            return np.array(
-                [
-                    -1 if counts is None else counts.get(event_type, 0)
-                    for counts in (
-                        self._event_counts(locator, d, t0, t1) for d in devices
-                    )
-                ],
-                dtype=np.int64,
-            )
         rows = self._serve_counts(locator, devices, t0, t1)
         column = self._count_types(locator).index(event_type)
         return rows.column([device.name for device in devices], column)
@@ -826,15 +619,7 @@ class FeatureBuilder:
             normalized = (windows - means[:, np.newaxis]) / stds[:, np.newaxis]
         rows.add(names, usable, normalized)
         self._norm_memo[key] = rows
-        self._stamp(self._norm_stamps, key, names)
         return rows
-
-    def _normalized_window(
-        self, locator: str, device: Component, t: float
-    ) -> np.ndarray | None:
-        """One device's z-scored look-back window (None: no data)."""
-        rows = self._normalize(locator, [device], t)
-        return rows.row(device.name)
 
     def _pull_group(
         self,
@@ -880,281 +665,13 @@ class FeatureBuilder:
         counts = rows.column([device.name for device in devices], column)
         return float(counts[counts >= 0].sum())
 
-    # -- incremental engine -------------------------------------------------
-
-    @staticmethod
-    def _grid(interval: float, t0: float, t1: float) -> tuple[int, int]:
-        """The store's sampling-grid window for ``[t0, t1]``.
-
-        Query values depend only on these indices (and the effects
-        generation), which is what makes engine keys content addresses.
-        """
-        return (
-            max(0, int(np.ceil(t0 / interval))),
-            int(np.floor(t1 / interval)),
-        )
-
-    def _group_stats_incremental(
-        self,
-        group_index: int,
-        group: _TsGroup,
-        components: list[Component],
-        t: float,
-    ) -> np.ndarray | None:
-        """The eleven statistics for one ts-group, O(delta) per advance.
-
-        Byte-identical to ``_stats(np.concatenate(_pull_group(...)))``:
-        blocks pool in the same locator → component → device order, and
-        the aggregator computes the pooled statistics exactly (see
-        :mod:`.window_agg`).  Returns None when no data source is up
-        (the NaN case).
-        """
-        keyed: list[tuple[object, Block]] = []
-        any_active = False
-        T = self.config.lookback
-        ref_span = self.config.reference_multiple * T
-        for locator in group.locators:
-            if not self.store.is_active(locator):
-                continue
-            any_active = True
-            schema = self.store.schema(locator)
-            dataset_kinds = schema.component_kinds
-            window_grid = self._grid(schema.baseline.interval, t - T, t)
-            ref_grid = self._grid(
-                schema.baseline.interval, t - T - ref_span, t - T
-            )
-            resolved: list[tuple[Component, tuple]] = []
-            missing: list[Component] = []
-            for component in components:
-                for device in self._observables(component, dataset_kinds):
-                    generation = self.store.effects_generation(
-                        locator, device.name
-                    )
-                    key = (
-                        locator, device.name, window_grid, ref_grid, generation,
-                    )
-                    resolved.append((device, key))
-                    if key not in self._block_cache:
-                        missing.append(device)
-            if missing:
-                # Same warm-up as the full path, but only for devices
-                # whose block is genuinely new content.
-                self._prefetch_series(locator, missing, t - T, t)
-                self._prefetch_series(locator, missing, t - T - ref_span, t - T)
-                self._normalize(locator, missing, t)
-            for device, key in resolved:
-                block = self._block_cache.get(key)
-                if block is None:
-                    normalized = self._normalized_window(locator, device, t)
-                    if normalized is None:
-                        normalized = np.empty(0)
-                    block = Block(normalized)
-                    self._block_cache[key] = block
-                keyed.append((key, block))
-        if not any_active:
-            return None
-        state = self._group_state.get(group_index)
-        state_key = tuple(key for key, _ in keyed)
-        if state is not None and state[0] == state_key:
-            self._note_engine_hit("group_window", ("group_stats", state_key))
-            return state[1]
-        # Content-addressed pooled result: a re-served incident (warm
-        # steady state) resolves here without touching the aggregator.
-        # Every input the statistics depend on is inside the block keys.
-        memo = self._group_stats_memo.get(state_key)
-        if memo is not None:
-            self._note_engine_hit("group_window", ("group_stats", state_key))
-            self._group_state[group_index] = (state_key, memo)
-            return memo
-        agg = self._group_aggs.get(group_index)
-        if agg is None:
-            agg = WindowAggregator()
-            self._group_aggs[group_index] = agg
-        added, dropped = agg.advance(keyed)
-        if added:
-            self._count("window_advance_samples", "added", added)
-        if dropped:
-            self._count("window_advance_samples", "dropped", dropped)
-        stats = agg.stats(_PERCENTILES)
-        self._group_state[group_index] = (state_key, stats)
-        self._group_stats_memo[state_key] = stats
-        self._stamp_engine(("group_stats", state_key))
-        return stats
-
-    def _event_counts(
-        self, locator: str, device: Component, t0: float, t1: float
-    ) -> dict[str, int] | None:
-        """Content-addressed per-type event counts over ``[t0, t1]``.
-
-        Equals ``store.query_events(...).count_by_type()`` (with explicit
-        zeros for quiet schema types) without materializing an event.
-        Windows of pairs carrying effects key on the exact float window
-        — burst counts depend on it — every other window keys on the
-        bin grid and is shared across incidents.
-        """
-        key = self._count_key(locator, device, t0, t1)
-        if key in self._count_memo:
-            self._note_engine_hit("event_counts", ("event_counts", key))
-            return self._count_memo[key]
-        self._count("monitoring_queries_total", "event_counts")
-        counts = self.store.query_event_type_counts(locator, device, t0, t1)
-        self._count_memo[key] = counts
-        self._stamp_engine(("event_counts", key))
-        return counts
-
-    event_counts = _publishes_counts(_event_counts)
-
-    def _count_key(
-        self, locator: str, device: Component, t0: float, t1: float
-    ) -> tuple:
-        """The content address :meth:`event_counts` memoizes under."""
-        generation = self.store.effects_generation(locator, device.name)
-        key = (locator, device.name, self._grid(_EVENT_BIN, t0, t1), generation)
-        if generation[1]:
-            key = key + (t0, t1)
-        return key
-
-    def _prefetch_event_counts(
-        self, locator: str, devices: list[Component], t0: float, t1: float
-    ) -> None:
-        """Warm the count memo for many devices with one batched query.
-
-        ``query_event_type_counts_batch`` is bit-identical per device to
-        the scalar query, and hashes every device's Poisson bins in one
-        grid per event type instead of one scalar pass per device.
-        """
-        missing: list[Component] = []
-        keys: list[tuple] = []
-        seen: set[str] = set()
-        for device in devices:
-            if device.name in seen:
-                continue
-            seen.add(device.name)
-            key = self._count_key(locator, device, t0, t1)
-            if key not in self._count_memo:
-                missing.append(device)
-                keys.append(key)
-        if len(missing) < 2:
-            return
-        self._count("monitoring_queries_total", "event_counts_batch")
-        batch = self.store.query_event_type_counts_batch(
-            locator, missing, t0, t1
-        )
-        for key, counts in zip(keys, batch):
-            self._count_memo[key] = counts
-            self._stamp_engine(("event_counts", key))
-
-    def _event_totals_incremental(
-        self,
-        locator: str,
-        components: list[Component],
-        t: float,
-    ) -> dict[str, int] | None:
-        """Pooled per-type event counts over all observed devices.
-
-        Several ``_EventFeature`` entries share one (dataset, window)
-        device scan, so the pooled totals are computed once and
-        content-addressed on (components, bin grid, dataset effects
-        token) — a re-served incident is a dict hit.  Windows observed
-        while the dataset carries burst effects key on the exact float
-        window, matching :meth:`event_counts`.  None when the dataset
-        is down.
-        """
-        if not self.store.is_active(locator):
-            return None
-        T = self.config.lookback
-        t0, t1 = t - T, t
-        token = self.store.effects_token(locator)
-        key = (
-            locator,
-            tuple(c.name for c in components),
-            self._grid(_EVENT_BIN, t0, t1),
-            token,
-        )
-        if token[1]:
-            key = key + (t0, t1)
-        totals = self._event_totals_memo.get(key)
-        if totals is not None:
-            self._note_engine_hit("event_totals", ("event_totals", key))
-            return totals
-        dataset_kinds = self.store.schema(locator).component_kinds
-        devices: list[Component] = []
-        for component in components:
-            devices.extend(self._observables(component, dataset_kinds))
-        self._prefetch_event_counts(locator, devices, t0, t1)
-        totals = {}
-        for device in devices:
-            counts = self._event_counts(locator, device, t0, t1)
-            if counts is None:
-                continue
-            for event_type, n in counts.items():
-                totals[event_type] = totals.get(event_type, 0) + n
-        self._event_totals_memo[key] = totals
-        self._stamp_engine(("event_totals", key))
-        return totals
-
-    def _event_count_incremental(
-        self,
-        feature: _EventFeature,
-        components: list[Component],
-        t: float,
-    ) -> float:
-        """Incremental-engine :meth:`_pull_events` (count queries only)."""
-        totals = self._event_totals_incremental(
-            feature.locator, components, t
-        )
-        if totals is None:
-            return float("nan")
-        return float(totals.get(feature.event_type, 0))
-
-    def _features_incremental(
-        self, extracted: ExtractedComponents, t: float
-    ) -> np.ndarray:
-        """Engine-backed :meth:`features`; byte-identical output."""
-        vector = np.empty(len(self.schema))
-        pos = 0
-        for group_index, group in enumerate(self.schema.ts_groups):
-            components = extracted.of_kind(group.kind)
-            if not components:
-                vector[pos : pos + len(STAT_NAMES)] = 0.0
-            else:
-                stats = self._group_stats_incremental(
-                    group_index, group, components, t
-                )
-                if stats is None:
-                    vector[pos : pos + len(STAT_NAMES)] = np.nan
-                else:
-                    vector[pos : pos + len(STAT_NAMES)] = stats
-            pos += len(STAT_NAMES)
-        for feature in self.schema.event_features:
-            components = extracted.of_kind(feature.kind)
-            if not components:
-                vector[pos] = 0.0
-            else:
-                vector[pos] = self._event_count_incremental(
-                    feature, components, t
-                )
-            pos += 1
-        for kind in self.config.kinds:
-            vector[pos] = float(len(extracted.of_kind(kind)))
-            pos += 1
-        return vector
-
     # -- the feature vector ----------------------------------------------------
 
     @_publishes_counts
     def features(
         self, extracted: ExtractedComponents, t: float
     ) -> np.ndarray:
-        """The fixed-length feature vector for one incident at time ``t``.
-
-        With ``incremental`` set the vector comes from the sliding
-        window engine (byte-identical by construction and by the parity
-        suite); the default path below is both the seed behavior and
-        the engine's full-recompute oracle.
-        """
-        if self.incremental:
-            return self._features_incremental(extracted, t)
+        """The fixed-length feature vector for one incident at time ``t``."""
         vector = np.empty(len(self.schema))
         pos = 0
         for group in self.schema.ts_groups:

@@ -132,18 +132,13 @@ class ScoutFramework:
         store: MonitoringStore,
         options: TrainingOptions | None = None,
         obs: Observability | None = None,
-        incremental: bool = False,
     ) -> None:
         self.config = config
         self.topology = topology
         self.store = store
         self.options = options or TrainingOptions()
         self.extractor = ComponentExtractor(config, topology)
-        # ``incremental`` opts the builder into the sliding-window
-        # feature engine (byte-identical vectors; see core.features).
-        self.builder = FeatureBuilder(
-            config, topology, store, incremental=incremental
-        )
+        self.builder = FeatureBuilder(config, topology, store)
         # Observability sink (None = un-instrumented): per-phase
         # training spans/durations, threaded into the builder's query
         # counters and every Scout this framework trains.

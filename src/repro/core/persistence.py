@@ -170,12 +170,9 @@ def attach_bundle(
     bundle: ScoutBundle,
     topology: Topology,
     store: MonitoringStore,
-    incremental: bool = False,
 ) -> Scout:
     """Attach an already-validated bundle to a live environment."""
-    builder = FeatureBuilder(
-        bundle.config, topology, store, incremental=incremental
-    )
+    builder = FeatureBuilder(bundle.config, topology, store)
     cpd = CPDPlus(
         builder,
         handful_threshold=bundle.cpd_handful_threshold,
@@ -197,15 +194,11 @@ def load_scout(
     path: str | Path,
     topology: Topology,
     store: MonitoringStore,
-    incremental: bool = False,
 ) -> Scout:
     """Load a Scout and attach it to a live monitoring environment.
 
-    ``incremental`` opts the attached builder into the sliding-window
-    feature engine (a serving-time choice, so it is not part of the
-    persisted bundle).  Raises ``ValueError`` for non-Scout files,
-    truncated or bit-flipped payloads, and incompatible format
-    versions — a corrupted model store must fail loudly, not serve
-    garbage predictions.
+    Raises ``ValueError`` for non-Scout files, truncated or bit-flipped
+    payloads, and incompatible format versions — a corrupted model
+    store must fail loudly, not serve garbage predictions.
     """
-    return attach_bundle(read_bundle(path), topology, store, incremental)
+    return attach_bundle(read_bundle(path), topology, store)

@@ -105,18 +105,8 @@ class Scout:
         model-selector choice, feature build, and RF vs. CPD+
         inference each show up with their own timing.
 
-        Monitoring memos follow the builder's cache policy: with no TTL
-        configured the memos reset here (the seed behavior); with a
-        TTL-window cache (threaded in by the incident manager) pulls
-        survive across incidents and only expired entries are evicted —
-        a burst of correlated incidents shares its monitoring queries.
-        When the builder runs the incremental engine
-        (``builder.incremental``), its content-addressed block and
-        group-window caches additionally survive ``begin_incident``
-        outright: they key on (grid, effects generation), so a later
-        incident whose window shares sample indices with an earlier one
-        advances in O(new samples) instead of recomputing the window —
-        with byte-identical feature vectors either way.
+        The builder's per-incident monitoring memos reset here, so
+        every prediction pulls its own look-back windows.
         """
         self.builder.begin_incident()
         prediction = self._predict_traced(incident)

@@ -18,9 +18,10 @@ picklability invariants the pipeline depends on:
   or the metrics registry; ``print`` is reserved for CLI entry points.
 * ``hot-path-recompute`` — no full-window order statistics
   (``np.percentile``/``np.quantile``/``np.median``) in the per-incident
-  hot-path modules (``HOT_PATH_FILES``): window statistics there must
-  go through ``core.window_agg`` — the incremental engine, which
-  advances in O(delta), or ``exact_percentiles`` on a sorted window.
+  hot-path modules (``HOT_PATH_FILES``): window statistics there sort
+  the window once and read percentiles with
+  ``core.window_agg.exact_percentiles``, as ``_stats`` in
+  ``features.py`` does.
 
 Suppression: ``# scoutlint: disable=RULE`` on the offending line, or a
 ``path:rule`` entry in an allowlist file (see ``.scoutlint-allowlist``
@@ -101,14 +102,16 @@ DEFAULT_EXEMPT_FILES = {
 }
 
 # Per-incident hot-path modules: code here runs once per served
-# incident, so full-window order statistics belong in the incremental
-# engine (core.window_agg), not inline.  The rule fires *only* in these
-# files — np.percentile is fine in training, analysis, or the engine
-# itself.
+# incident, so percentiles come from one sort plus
+# core.window_agg.exact_percentiles (as _stats does), not from a
+# numpy order-statistic call per percentile.  The rule fires *only* in
+# these files — np.percentile is fine in training, analysis, or the
+# replica itself.
 HOT_PATH_FILES = ("features.py", "cpd_plus.py", "scout.py")
 
 # Full-window order statistics: each call re-scans (and re-partitions)
-# the whole window, the exact O(window) work the engine amortizes.
+# the whole window, work that one shared sort does once for all seven
+# percentiles.
 _HOT_PATH_CALLS = {
     "numpy.percentile",
     "numpy.quantile",
@@ -240,9 +243,9 @@ class _Checker(ast.NodeVisitor):
                 "hot-path-recompute",
                 f"full-window {canonical}() in a per-incident hot path",
                 node.lineno,
-                hint="serve order statistics from the incremental window "
-                "engine (core.window_agg); the parity oracle may keep an "
-                "inline disable",
+                hint="sort the window once and read percentiles with "
+                "core.window_agg.exact_percentiles, as _stats does; the "
+                "parity oracle may keep an inline disable",
             )
 
     # -- classes -----------------------------------------------------------

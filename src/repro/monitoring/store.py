@@ -74,15 +74,7 @@ class MonitoringStore:
         self._inactive: set[str] = set()
         # Effects indexed by (dataset, component), kept sorted by start.
         self._effects: dict[tuple[str, str], list[FailureEffect]] = defaultdict(list)
-        # Injected-effect count per dataset, kept in step with _effects
-        # so effects_token() is a dict lookup instead of a registry scan.
-        self._effect_totals: dict[str, int] = {}
         self._seed_memo: dict[tuple[str, str], int] = {}
-        # Bumped whenever registry-wide signal identity changes
-        # (clear/restore effects, activate/deactivate); combined with
-        # the per-pair effect count in effects_generation() so callers
-        # can content-address anything derived from a signal.
-        self._effects_gen = 0
 
     def _series_seed(self, dataset: str, component: str) -> int:
         key = (dataset, component)
@@ -112,12 +104,10 @@ class MonitoringStore:
         """Model a deprecated/failed monitoring system (Fig 9, §6)."""
         self.schema(dataset)
         self._inactive.add(dataset)
-        self._effects_gen += 1
 
     def activate(self, dataset: str) -> None:
         self.schema(dataset)
         self._inactive.discard(dataset)
-        self._effects_gen += 1
 
     def is_active(self, dataset: str) -> bool:
         return dataset not in self._inactive
@@ -141,14 +131,9 @@ class MonitoringStore:
         effects = self._effects[(effect.dataset, effect.component)]
         effects.append(effect)
         effects.sort(key=lambda e: e.start)
-        self._effect_totals[effect.dataset] = (
-            self._effect_totals.get(effect.dataset, 0) + 1
-        )
 
     def clear_effects(self) -> None:
         self._effects.clear()
-        self._effect_totals.clear()
-        self._effects_gen += 1
 
     def snapshot_effects(self) -> dict:
         """Copy the current effect registry (pair with restore_effects)."""
@@ -159,43 +144,9 @@ class MonitoringStore:
         self._effects = defaultdict(
             list, {key: list(value) for key, value in snapshot.items()}
         )
-        self._effect_totals = {}
-        for (dataset, _), effects in self._effects.items():
-            self._effect_totals[dataset] = (
-                self._effect_totals.get(dataset, 0) + len(effects)
-            )
-        self._effects_gen += 1
 
     def effects_for(self, dataset: str, component: str) -> list[FailureEffect]:
         return list(self._effects.get((dataset, component), []))
-
-    def effects_generation(self, dataset: str, component: str) -> tuple[int, int]:
-        """A token that changes whenever this signal's content could.
-
-        The global counter bumps on registry-wide mutations
-        (clear/restore/activate/deactivate); the per-pair effect count
-        grows on inject.  Anything derived from the signal — a
-        normalized window, an event count — stays valid exactly as long
-        as this token is unchanged, which is how the incremental
-        feature engine content-addresses its caches.
-        """
-        return (
-            self._effects_gen,
-            len(self._effects.get((dataset, component), ())),
-        )
-
-    def effects_token(self, dataset: str) -> tuple[int, int]:
-        """A token that changes whenever ANY of the dataset's signals could.
-
-        The dataset-wide analogue of :meth:`effects_generation`: the
-        global counter plus the dataset's total injected-effect count.
-        Anything pooled across the dataset's components — the feature
-        engine's per-type event totals — stays valid exactly as long as
-        this token is unchanged.  The total is maintained by
-        :meth:`inject`, :meth:`clear_effects` and
-        :meth:`restore_effects`, so the token is O(1).
-        """
-        return (self._effects_gen, self._effect_totals.get(dataset, 0))
 
     # -- queries -----------------------------------------------------------
 
@@ -483,8 +434,8 @@ class MonitoringStore:
         with count 0 here and omitted there).  Background counts come
         from the Poisson bins directly, and burst effects contribute
         their exact deterministic event count, so no per-event offset
-        hashing happens at all.  This is what the incremental feature
-        engine and CPD+ consume: both only ever look at counts.
+        hashing happens at all.  This is what event features and CPD+
+        consume: both only ever look at counts.
         """
         schema = self.schema(dataset)
         if schema.kind is not DataKind.EVENT:

@@ -329,11 +329,8 @@ class ModelRegistry:
         topology,
         store,
         version: int | None = None,
-        incremental: bool = False,
     ) -> Scout:
         """Fetch a verified version and attach it to a live environment."""
         from ..core.persistence import attach_bundle
 
-        return attach_bundle(
-            self.fetch(team, version), topology, store, incremental
-        )
+        return attach_bundle(self.fetch(team, version), topology, store)

@@ -310,19 +310,6 @@ class IncidentManager:
         workers come from a persistent, lazily created pool — call
         :meth:`close` (or use the manager as a context manager) to
         shut it down.
-    cache_ttl:
-        When set, threaded into each registered Scout's feature
-        builder (together with the manager's clock) as a TTL-window
-        monitoring cache: pulls survive across incidents for
-        ``cache_ttl`` clock-seconds, so a burst of correlated
-        incidents shares its monitoring queries instead of re-issuing
-        them per incident.  None (the default) keeps the seed
-        per-incident cache lifetime.
-    incremental:
-        When True, every registered Scout's builder is switched to the
-        incremental sliding-window feature engine (O(delta) window
-        advance; byte-identical vectors — see ``core.features``).
-        Default False keeps the seed full-recompute path.
     obs:
         The observability sink (metrics registry + tracer).  Defaults
         to a fresh :class:`~repro.obs.Observability` on the manager's
@@ -341,9 +328,7 @@ class IncidentManager:
         breaker: BreakerPolicy | None = BreakerPolicy(),
         retry: RetryPolicy | None = None,
         batch_workers: int | None = 1,
-        cache_ttl: float | None = None,
         obs: Observability | None = None,
-        incremental: bool = False,
     ) -> None:
         self.registry = registry
         self.suggestion_mode = suggestion_mode
@@ -352,8 +337,6 @@ class IncidentManager:
         self.breaker_policy = breaker
         self.retry_policy = retry
         self.batch_workers = batch_workers
-        self.cache_ttl = cache_ttl
-        self.incremental = incremental
         self.obs = obs if obs is not None else Observability(clock=clock)
         self._master = ScoutMaster(registry, confidence_floor=confidence_floor)
         self._scouts: dict[str, Scout] = {}
@@ -522,19 +505,6 @@ class IncidentManager:
         builder = getattr(scout, "builder", None)
         if builder is not None and getattr(builder, "obs", False) is None:
             builder.obs = self.obs
-        if (
-            self.cache_ttl is not None
-            and builder is not None
-            and getattr(builder, "cache_ttl", False) is None
-        ):
-            # Thread the TTL-window cache policy into the builder
-            # unless it brought its own — together with the manager's
-            # clock, so fake-clock eviction tests are exact.
-            builder.cache_ttl = self.cache_ttl
-            if getattr(builder, "clock", False) is None:
-                builder.clock = self._clock
-        if self.incremental and builder is not None:
-            builder.incremental = True
 
     def swap(self, scout: Scout, *, lint: bool = False) -> int:
         """Hot-swap a team's Scout with zero serving downtime.
@@ -793,9 +763,9 @@ class IncidentManager:
         # One incident at a time per Scout: concurrent batch incidents
         # fanning out to the same team would otherwise race on the
         # Scout's builder memos and its breaker (neither is internally
-        # locked).  Serializing here also makes the cross-incident
-        # cache hit/miss counts deterministic — each unique monitoring
-        # key is exactly one miss, no matter how incidents interleave.
+        # locked).  The memos reset at every predict, so each call's
+        # pulls and hits depend only on its own incident, whatever
+        # order the batch reaches this lock in.
         team_lock = self._team_locks.get(team)
         if team_lock is None:
             # The team was unregistered between fan-out and this call;

@@ -13,15 +13,12 @@ yield a well-defined zero report.
 import threading
 from dataclasses import replace
 
-import pytest
-
 from repro.core import FeatureBuilder
 from repro.core.cpd_plus import CPDVerdict
 from repro.core.scout import ScoutPrediction
 from repro.core.selector import Route
 from repro.datacenter import ComponentKind
 from repro.monitoring import FakeClock, FlakyScout
-from repro.obs import Observability
 from repro.serving import CallStatus, IncidentManager
 from repro.simulation import default_teams
 from repro.simulation.teams import DNS, PHYNET, STORAGE
@@ -64,8 +61,6 @@ def _reset_scout(scout) -> None:
     """Return the session-scoped Scout to its un-instrumented default."""
     scout.obs = None
     scout.builder.obs = None
-    scout.builder.cache_ttl = None
-    scout.builder.clock = None
     scout.builder.clear_cache()
 
 
@@ -108,16 +103,13 @@ class TestBatchDeterminism:
         finally:
             manager.close()
 
-    def test_real_scout_batch_with_cache_matches_serial(
-        self, incidents, scout, dataset
-    ):
-        """The full pipeline (real Scout, TTL cache) stays deterministic.
+    def test_real_scout_batch_matches_serial(self, scout, dataset):
+        """The full pipeline (real Scout) stays deterministic.
 
-        An outage-storm burst (shared timestamp, so monitoring keys
-        collide across incidents) through serial ``handle`` vs
-        concurrent ``handle_batch``, both with the cross-incident
-        cache: identical logs and exposition bytes, and the burst
-        actually exercises the cache (cross-incident hits observed).
+        An outage-storm burst (shared timestamp, so every copy pulls
+        the same monitoring windows) through serial ``handle`` vs
+        concurrent ``handle_batch``: identical decisions and
+        exposition bytes, query and hit counters included.
         """
         usable = dataset.usable()
         burst_at = max(ex.incident.created_at for ex in usable.examples[:6])
@@ -127,28 +119,21 @@ class TestBatchDeterminism:
         ]
         try:
             _reset_scout(scout)
-            serial = IncidentManager(
-                default_teams(), clock=FakeClock(), cache_ttl=3600.0
-            )
+            serial = IncidentManager(default_teams(), clock=FakeClock())
             serial.register(scout)
             serial_decisions = [serial.handle(i) for i in burst]
             serial_exposition = serial.obs.render()
+            queries = serial.obs.metrics.get("monitoring_queries_total")
+            assert queries is not None and queries.total() > 0
 
             _reset_scout(scout)
             with IncidentManager(
-                default_teams(),
-                clock=FakeClock(),
-                batch_workers=4,
-                cache_ttl=3600.0,
+                default_teams(), clock=FakeClock(), batch_workers=4
             ) as manager:
                 manager.register(scout)
                 decisions = manager.handle_batch(burst)
                 assert decisions == serial_decisions
                 assert manager.obs.render() == serial_exposition
-                cross = manager.obs.metrics.get(
-                    "monitoring_cache_cross_hits_total"
-                )
-                assert cross is not None and cross.total() > 0
         finally:
             _reset_scout(scout)
 
@@ -251,99 +236,19 @@ class TestPoolLifecycle:
         assert manager._pool is None
 
 
-# -- tentpole: the TTL-window monitoring cache -------------------------------
+# -- the per-incident monitoring memos ---------------------------------------
 
 
-class TestTTLCache:
-    @pytest.fixture()
-    def builder(self, sim, framework):
-        b = FeatureBuilder(framework.config, sim.topology, sim.store)
-        b.obs = Observability()
-        return b
-
-    @staticmethod
-    def _query(builder, sim):
+class TestIncidentCacheScope:
+    def test_begin_incident_clears_the_query_memos(self, sim, framework):
+        builder = FeatureBuilder(framework.config, sim.topology, sim.store)
         device = sim.topology.components(ComponentKind.SWITCH)[0]
         locator = builder.config.monitoring[0].locator
         t = 86400.0 * 320
-        return builder.series(locator, device, t - 3600.0, t)
-
-    @staticmethod
-    def _total(builder, name):
-        family = builder.obs.metrics.get(name)
-        return family.total() if family is not None else 0.0
-
-    def test_begin_incident_without_ttl_keeps_seed_behavior(
-        self, builder, sim
-    ):
-        self._query(builder, sim)
+        builder.series(locator, device, t - 3600.0, t)
         assert builder._series_memo
-        builder.begin_incident()  # no TTL configured: clears, as before
-        assert not builder._series_memo
-
-    def test_cache_survives_incidents_and_counts_cross_hits(
-        self, builder, sim
-    ):
-        builder.cache_ttl = 100.0
-        builder.clock = FakeClock()
-        self._query(builder, sim)  # miss: one store pull
-        self._query(builder, sim)  # same-incident hit: not cross
-        assert self._total(builder, "monitoring_queries_total") == 1
-        assert self._total(builder, "monitoring_cache_hits_total") == 1
-        assert self._total(builder, "monitoring_cache_cross_hits_total") == 0
-
-        builder.begin_incident()  # next incident: memo survives
-        self._query(builder, sim)  # cross-incident hit
-        assert self._total(builder, "monitoring_queries_total") == 1
-        assert self._total(builder, "monitoring_cache_cross_hits_total") == 1
-
-    def test_expired_entries_are_evicted_on_the_injected_clock(
-        self, builder, sim
-    ):
-        clock = FakeClock()
-        builder.cache_ttl = 100.0
-        builder.clock = clock
-        self._query(builder, sim)
-        clock.advance(100.0)  # age == TTL: expired
         builder.begin_incident()
         assert not builder._series_memo
-        self._query(builder, sim)  # a fresh pull, not a stale hit
-        assert self._total(builder, "monitoring_queries_total") == 2
-
-    def test_entries_within_ttl_survive_eviction(self, builder, sim):
-        clock = FakeClock()
-        builder.cache_ttl = 100.0
-        builder.clock = clock
-        self._query(builder, sim)
-        clock.advance(99.0)
-        builder.begin_incident()
-        assert builder._series_memo  # still fresh
-        self._query(builder, sim)
-        assert self._total(builder, "monitoring_queries_total") == 1
-
-    def test_manager_threads_cache_policy_into_builder(self, scout):
-        clock = FakeClock()
-        try:
-            _reset_scout(scout)
-            manager = IncidentManager(
-                default_teams(), clock=clock, cache_ttl=50.0
-            )
-            manager.register(scout)
-            assert scout.builder.cache_ttl == 50.0
-            assert scout.builder.clock is clock
-            assert scout.builder.ttl_enabled
-        finally:
-            _reset_scout(scout)
-
-    def test_manager_without_ttl_leaves_builder_alone(self, scout):
-        try:
-            _reset_scout(scout)
-            manager = IncidentManager(default_teams(), clock=FakeClock())
-            manager.register(scout)
-            assert scout.builder.cache_ttl is None
-            assert not scout.builder.ttl_enabled
-        finally:
-            _reset_scout(scout)
 
 
 # -- satellite: cached path == live path -------------------------------------

@@ -359,15 +359,16 @@ class TestCodeRules:
             assert f.line == 4
 
     def test_hot_path_recompute_ignores_other_files(self):
-        # The engine itself, training code, analysis — anywhere outside
-        # the per-incident hot path — may use order statistics freely.
+        # The percentile replica, training code, analysis — anywhere
+        # outside the per-incident hot path — may use order statistics
+        # freely.
         source = "import numpy as np\nq = np.median([1.0, 2.0])\n"
         assert lint_source(source, path="window_agg.py") == []
         assert lint_source(source, path="analysis.py") == []
 
     def test_hot_path_oracle_inline_disable(self):
-        # The full-recompute parity oracle in features.py is allowlisted
-        # inline: it is the reference the engine is byte-checked against.
+        # A parity oracle in a hot-path file is allowlisted inline: it is
+        # the reference the fast path is byte-checked against.
         source = (
             "import numpy as np\n\n"
             "def stats(w):\n"

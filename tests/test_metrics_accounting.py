@@ -1,20 +1,15 @@
 """Regression tests for the PR 9 metrics-accounting bugfix sweep.
 
-Two committed bench metrics were silently wrong:
-
-* ``serve_cache_cross_hits`` fell 7597 → 0 when the batch path moved to
-  the incremental engine — the engine's content-addressed caches serve
-  cross-incident reuse but never fed ``monitoring_cache_cross_hits_total``
-  (only the TTL-window memos did).
-* ``stream_soak_p99_seconds`` read exactly 5.0 — a coarse bucket bound
-  masquerading as a measured p99, and in the worst case a histogram
-  whose p99 rank escapes the finite buckets clamps to the top bound,
-  indistinguishable from "p99 == budget".
+A committed bench metric was silently wrong: ``stream_soak_p99_seconds``
+read exactly 5.0 — a coarse bucket bound masquerading as a measured
+p99, and in the worst case a histogram whose p99 rank escapes the
+finite buckets clamps to the top bound, indistinguishable from
+"p99 == budget".
 
 These tests pin the fixes: the shared ``bucket_quantile`` helper carries
 a ``saturated`` flag, ``SLOTracker`` treats a saturated interval p99 as
-a violation unconditionally, the stream-wait grid resolves multi-second
-waits, and engine-cache hits across incidents count as cross hits.
+a violation unconditionally, and the stream-wait grid resolves
+multi-second waits.
 """
 
 from __future__ import annotations
@@ -23,10 +18,6 @@ import math
 
 import pytest
 
-from repro.core import FeatureBuilder
-from repro.datacenter import ComponentKind
-from repro.monitoring import FakeClock
-from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry, QuantileReadout, bucket_quantile
 from repro.serving.stream import SLOTracker, STREAM_WAIT_BUCKETS
 
@@ -140,53 +131,3 @@ class TestStreamWaitBuckets:
     def test_grid_extends_beyond_the_slo_sentinel_range(self):
         assert STREAM_WAIT_BUCKETS[-1] >= 600.0
         assert list(STREAM_WAIT_BUCKETS) == sorted(STREAM_WAIT_BUCKETS)
-
-
-# -- engine-cache cross-incident hits feed the cross-hit counter -------------
-
-
-class TestEngineCrossHits:
-    @pytest.fixture()
-    def builder(self, sim, framework):
-        b = FeatureBuilder(framework.config, sim.topology, sim.store)
-        b.obs = Observability()
-        return b
-
-    @staticmethod
-    def _total(builder, name):
-        family = builder.obs.metrics.get(name)
-        return family.total() if family is not None else 0.0
-
-    @staticmethod
-    def _query(builder, sim):
-        device = sim.topology.components(ComponentKind.SWITCH)[0]
-        t = 86400.0 * 100
-        return builder.event_counts("snmp_syslogs", device, t - 3600.0, t)
-
-    def test_engine_hit_across_incidents_counts_as_cross_hit(
-        self, builder, sim
-    ):
-        # No TTL configured: the per-incident memos reset between
-        # incidents, but the engine's content-addressed caches survive
-        # — and their cross-incident hits must reach the counter (they
-        # silently didn't, which is how serve_cache_cross_hits hit 0).
-        builder.begin_incident()
-        self._query(builder, sim)  # miss: one store pull
-        self._query(builder, sim)  # same-incident hit: not cross
-        assert self._total(builder, "monitoring_cache_hits_total") == 1
-        assert self._total(builder, "monitoring_cache_cross_hits_total") == 0
-
-        builder.begin_incident()  # next incident
-        self._query(builder, sim)  # engine hit from the prior incident
-        assert self._total(builder, "monitoring_cache_hits_total") == 2
-        assert self._total(builder, "monitoring_cache_cross_hits_total") == 1
-
-    def test_engine_stamps_reset_with_the_engine_cache(self, builder, sim):
-        builder.begin_incident()
-        self._query(builder, sim)
-        assert builder._engine_stamps
-        builder.clear_engine_cache()
-        assert not builder._engine_stamps
-        builder.begin_incident()
-        self._query(builder, sim)  # cold again: a pull, not a cross hit
-        assert self._total(builder, "monitoring_cache_cross_hits_total") == 0

@@ -244,55 +244,6 @@ class TestEffects:
         store.clear_effects()
         assert store.effects_for("cpu_usage", switch.name) == []
 
-    def test_effects_token_tracks_every_mutation(self, store, switch, server):
-        def scanned(dataset):
-            # Reference: scan the whole effect registry.
-            return sum(
-                len(store.effects_for(name, component))
-                for name, component in store.snapshot_effects()
-                if name == dataset
-            )
-
-        def burst(component, start):
-            return FailureEffect(
-                "device_reboots", component.name, start, start + _HOUR,
-                mode="burst", event_type="reboot", rate=6.0,
-            )
-
-        tokens = [store.effects_token("device_reboots")]
-
-        def step():
-            token = store.effects_token("device_reboots")
-            assert token != tokens[-1]
-            assert token[1] == scanned("device_reboots")
-            tokens.append(token)
-
-        store.inject(burst(switch, _T - _HOUR))
-        step()
-        store.inject(burst(server, _T - 2 * _HOUR))
-        step()
-        store.inject(burst(switch, _T - 3 * _HOUR))
-        step()
-        assert tokens[-1][1] == 3
-        snapshot = store.snapshot_effects()
-        # Effects on another dataset leave this dataset's total alone.
-        store.inject(
-            FailureEffect("cpu_usage", switch.name, 0, _T, "shift", 0.1)
-        )
-        assert store.effects_token("device_reboots") == tokens[-1]
-        store.deactivate("device_reboots")
-        step()
-        store.activate("device_reboots")
-        step()
-        store.clear_effects()
-        step()
-        assert tokens[-1][1] == 0
-        for _ in range(2):  # restoring replaces the totals, never adds
-            store.restore_effects(snapshot)
-            step()
-            assert tokens[-1][1] == 3
-        assert store.effects_token("cpu_usage")[1] == 0
-
     def test_effect_validation(self):
         with pytest.raises(ValueError):
             FailureEffect("d", "c", 10.0, 5.0)

@@ -1,11 +1,10 @@
-"""Monitoring store: event-type counts, effect generations, round-trips.
+"""Monitoring store: event-type counts and round-trips.
 
-The incremental engine keys its cache on ``effects_generation``, the
-count fast path must agree with a full event scan, and parallel dataset
-builds ship the store to workers by pickle.  Each test checks one of
-those contracts on the store's single (generated) storage regime; the
-reference, where one is needed, is a second store built from the same
-seed.
+The count fast path must agree with a full event scan, effect
+snapshots must restore exactly, and parallel dataset builds ship the
+store to workers by pickle.  Each test checks one of those contracts
+on the store's single (generated) storage regime; the reference, where
+one is needed, is a second store built from the same seed.
 """
 
 from __future__ import annotations
@@ -82,27 +81,6 @@ class TestTypeCounts:
 
 
 class TestEffectsInteraction:
-    def test_effects_generation_bumps(self, store):
-        switch = _switch()
-        gen0 = store.effects_generation("cpu_usage", switch.name)
-        store.inject(
-            FailureEffect("cpu_usage", switch.name, 0.0, _HOUR, "shift", 1.0)
-        )
-        gen1 = store.effects_generation("cpu_usage", switch.name)
-        assert gen1[1] == gen0[1] + 1
-        snapshot = store.snapshot_effects()
-        store.clear_effects()
-        gen2 = store.effects_generation("cpu_usage", switch.name)
-        assert gen2[0] > gen1[0] and gen2[1] == 0
-        store.restore_effects(snapshot)
-        gen3 = store.effects_generation("cpu_usage", switch.name)
-        assert gen3[0] > gen2[0] and gen3[1] == 1
-        store.deactivate("cpu_usage")
-        gen4 = store.effects_generation("cpu_usage", switch.name)
-        assert gen4[0] > gen3[0]
-        store.activate("cpu_usage")
-        assert store.effects_generation("cpu_usage", switch.name)[0] > gen4[0]
-
     def test_snapshot_restore_round_trip(self, fresh, store):
         switch = _switch()
         effect = FailureEffect(

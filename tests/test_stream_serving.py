@@ -61,8 +61,6 @@ def _flaky_manager(clock, **kwargs):
 def _reset_scout(scout) -> None:
     scout.obs = None
     scout.builder.obs = None
-    scout.builder.cache_ttl = None
-    scout.builder.clock = None
     scout.builder.clear_cache()
 
 
