@@ -56,7 +56,7 @@ from .core import ScoutFramework, TrainingOptions, load_scout, save_scout
 from .incidents import Incident, IncidentSource, Severity
 from .ml import imbalance_aware_split
 from .monitoring import FakeClock, FaultPlan, FaultyStore
-from .obs import Observability
+from .obs import Observability, catalog
 from .serving import (
     BreakerPolicy,
     IncidentManager,
@@ -513,17 +513,10 @@ def _cmd_simulate(args) -> int:
         f"wrote {len(incidents)} incidents ({mis} mis-routed) to {args.out}"
     )
     obs = Observability()
-    by_team = obs.metrics.counter(
-        "incidents_generated_total",
-        "Simulated incidents by responsible team.",
-        labels=("team",),
-    )
+    by_team = obs.metrics.counter(catalog.INCIDENTS_GENERATED_TOTAL)
     for incident in incidents:
         by_team.inc(1, team=incident.responsible_team)
-    obs.metrics.counter(
-        "incidents_misrouted_total",
-        "Simulated incidents whose legacy routing took a wrong hop.",
-    ).inc(mis)
+    obs.metrics.counter(catalog.INCIDENTS_MISROUTED_TOTAL).inc(mis)
     _emit_metrics(args, obs)
     return 0
 

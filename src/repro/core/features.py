@@ -31,6 +31,11 @@ from ..datacenter.components import Component, ComponentKind
 from ..datacenter.topology import Topology
 from ..monitoring.base import DataKind, TimeSeries
 from ..monitoring.store import MonitoringStore
+from ..obs.catalog import (
+    MONITORING_CACHE_HITS_TOTAL as _CACHE_HITS,
+    MONITORING_QUERIES_TOTAL as _QUERIES,
+    MetricFamily,
+)
 from .extraction import ExtractedComponents
 from .window_agg import exact_percentiles
 
@@ -318,31 +323,25 @@ class FeatureBuilder:
         self._bound_counters = {}  # handles belong to the old registry
         self._pending_counts = {}
 
-    _COUNTER_HELP = {
-        "monitoring_queries_total": "Monitoring-store pulls by query kind.",
-        "monitoring_cache_hits_total": "Feature-builder memo hits by query kind.",
-    }
-
-    def _count(self, metric: str, kind: str, n: int = 1) -> None:
-        """Tally ``n`` counter ticks on the hot query path.
+    def _count(self, family: MetricFamily, kind: str, n: int = 1) -> None:
+        """Tally ``n`` ticks of a ``kind``-labelled counter family.
 
         A feature build ticks once per pull and memo hit, so ticks
-        accumulate per (metric, kind) and reach the registry once per
+        accumulate per (family, kind) and reach the registry once per
         public builder call (:func:`_publishes_counts` flushes them in a
         ``finally``) — the counters are exact whenever no builder call
         is in flight.  The handle is bound on first use.
         """
         if self._obs is None:
             return
-        key = (metric, kind)
+        key = (family.name, kind)
         pending = self._pending_counts
         if key in pending:
             pending[key] += n
             return
         if key not in self._bound_counters:
-            self._bound_counters[key] = self._obs.metrics.counter(
-                metric, self._COUNTER_HELP[metric], labels=("kind",)
-            ).bind(kind=kind)
+            counter = self._obs.metrics.counter(family)
+            self._bound_counters[key] = counter.bind(kind=kind)
         pending[key] = n
 
     def _flush_counts(self) -> None:
@@ -401,7 +400,7 @@ class FeatureBuilder:
         rows = memo.get(key)
         if rows is not None and all(d.name in rows.index for d in devices):
             if devices:
-                self._count("monitoring_cache_hits_total", kind, len(devices))
+                self._count(_CACHE_HITS, kind, len(devices))
             return rows
         hits = 0
         for device in devices:
@@ -409,15 +408,15 @@ class FeatureBuilder:
                 hits += 1
                 continue
             if hits:
-                self._count("monitoring_cache_hits_total", kind, hits)
+                self._count(_CACHE_HITS, kind, hits)
                 hits = 0
-            self._count("monitoring_queries_total", kind)
+            self._count(_QUERIES, kind)
             row, timestamps = scalar(locator, device, t0, t1)
             if rows is None:
                 rows = memo[key] = _Rows()
             rows.add_row(device.name, row, timestamps)
         if hits:
-            self._count("monitoring_cache_hits_total", kind, hits)
+            self._count(_CACHE_HITS, kind, hits)
         return rows if rows is not None else _Rows()
 
     def _scalar_series(self, locator, device, t0, t1):
@@ -471,7 +470,7 @@ class FeatureBuilder:
         missing = self._missing(self._series_memo.get(key), devices)
         if len(missing) < 2:
             return
-        self._count("monitoring_queries_total", "series_batch")
+        self._count(_QUERIES, "series_batch")
         positions, timestamps, values = self.store.query_series_matrix(
             locator, missing, t0, t1
         )
@@ -509,7 +508,7 @@ class FeatureBuilder:
         missing = self._missing(self._type_counts_memo.get(key), devices)
         if len(missing) < 2:
             return
-        self._count("monitoring_queries_total", "event_counts_batch")
+        self._count(_QUERIES, "event_counts_batch")
         positions, types, counts = self.store.query_event_type_counts_matrix(
             locator, missing, t0, t1
         )

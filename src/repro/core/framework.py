@@ -23,7 +23,7 @@ from ..ml.forest import RandomForestClassifier
 from ..ml.metrics import BinaryReport, classification_report
 from ..ml.preprocessing import MeanImputer
 from ..monitoring.store import MonitoringStore
-from ..obs import Observability, maybe_span
+from ..obs import Observability, catalog, maybe_span
 from .cpd_plus import CPDPlus
 from .dataset import ScoutDataset
 from .extraction import ComponentExtractor
@@ -116,9 +116,7 @@ class _TrainingPhase:
             self._span.attributes.setdefault("error", exc_type.__name__)
         self._obs.trace.finish(self._span)
         self._obs.metrics.gauge(
-            "training_phase_seconds",
-            "Wall-clock duration of the latest run of each training phase.",
-            labels=("phase",),
+            catalog.TRAINING_PHASE_SECONDS
         ).set(self._obs.clock() - self._started, phase=self._name)
 
 
@@ -245,9 +243,7 @@ class ScoutFramework:
         with maybe_span(self.obs, "train", team=self.config.team):
             scout = self._train_traced(train_data)
         if self.obs is not None:
-            self.obs.metrics.counter(
-                "training_runs_total", "Completed framework training runs."
-            ).inc()
+            self.obs.metrics.counter(catalog.TRAINING_RUNS_TOTAL).inc()
         return scout
 
     def _train_traced(self, train_data: ScoutDataset) -> Scout:

@@ -24,7 +24,7 @@ from ..config.spec import ScoutConfig
 from ..incidents.incident import Incident
 from ..ml.forest import RandomForestClassifier
 from ..ml.preprocessing import MeanImputer
-from ..obs import Observability, maybe_span
+from ..obs import Observability, catalog, maybe_span
 from .cpd_plus import CPDPlus
 from .dataset import ScoutExample
 from .explain import Explanation, explain_forest, render_report
@@ -112,9 +112,7 @@ class Scout:
         prediction = self._predict_traced(incident)
         if self.obs is not None:
             self.obs.metrics.counter(
-                "scout_predictions_total",
-                "Scout verdicts by pipeline route.",
-                labels=("team", "route"),
+                catalog.SCOUT_PREDICTIONS_TOTAL
             ).inc(1, team=self.team, route=prediction.route.value)
         return prediction
 
@@ -181,9 +179,7 @@ class Scout:
         finally:
             if attempts > 1:
                 self.obs.metrics.counter(
-                    "scout_retry_attempts_total",
-                    "Retried monitoring-pull attempts beyond the first.",
-                    labels=("team",),
+                    catalog.SCOUT_RETRY_ATTEMPTS_TOTAL
                 ).inc(attempts - 1, team=self.team)
 
     # -- cached prediction ------------------------------------------------------

@@ -1,6 +1,6 @@
 """scoutlint: static analysis for Scout configs and pipeline invariants.
 
-Two analyzers share one finding model:
+Three analyzers share one finding model:
 
 * :mod:`repro.lint.config_lint` — semantic checks over Scout DSL text
   or :class:`~repro.config.spec.ScoutConfig` objects, optionally
@@ -8,9 +8,8 @@ Two analyzers share one finding model:
 * :mod:`repro.lint.code_lint` — AST checks of the determinism and
   picklability invariants the pipeline relies on.
 * :mod:`repro.lint.program_analysis` — whole-program passes over a
-  call graph (``--program``): lock-order cycles, determinism taint
-  into decision logs/metrics, and the metrics-name contract against
-  the README/DESIGN tables.
+  call graph (``--program``): lock-order cycles and determinism taint
+  into decision logs/metrics.
 
 Run via ``repro lint`` or ``python -m repro.lint``; call
 :func:`lint_config` / :func:`lint_config_text` / :func:`lint_paths`

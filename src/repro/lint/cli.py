@@ -14,8 +14,8 @@ Input selection:
 * ``--code PATH`` — run the codebase invariant checker over files or
   directories (repeatable).
 * ``--program PATH`` — run the whole-program analyzer (lock ordering,
-  determinism taint, metrics contract) over a tree (repeatable;
-  defaults to ``src/repro`` when given no path).
+  determinism taint) over a tree (repeatable; defaults to
+  ``src/repro`` when given no path).
 * ``--changed [REF]`` — lint only files changed versus a git ref
   (default ``HEAD``): changed ``.py`` files go through the code pass
   and, with ``--program``, one whole-program pass over the tree.
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--program", action="append", nargs="?", const="", default=[],
         metavar="PATH",
         help="run the whole-program analyzer (lock-order cycles, "
-        "determinism taint, metrics contract) over a tree "
+        "determinism taint) over a tree "
         "(repeatable; bare --program means src/repro)",
     )
     parser.add_argument(

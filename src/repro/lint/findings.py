@@ -140,14 +140,6 @@ RULES: dict[str, Rule] = {
              "wall-clock/unseeded-RNG/uuid/set-iteration value flows "
              "into a determinism sink (decision log, metric emission, "
              "ServingDecision field)", "program"),
-        Rule("undocumented-metric", Severity.ERROR,
-             "metric emitted in code but absent from the README metric "
-             "table", "program"),
-        Rule("orphaned-metric-doc", Severity.WARN,
-             "documented metric that no code path emits", "program"),
-        Rule("metric-label-drift", Severity.WARN,
-             "emitted metric whose label set or kind disagrees with the "
-             "README metric table", "program"),
     ]
 }
 

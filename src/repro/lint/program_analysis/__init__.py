@@ -1,14 +1,15 @@
 """Whole-program analysis for scoutlint (``--program``).
 
-Three interprocedural passes over a call graph of the analyzed tree
+Two interprocedural passes over a call graph of the analyzed tree
 (:mod:`.callgraph`):
 
 * :mod:`.lock_order` — lock acquisition ordering (deadlock cycles,
   blocking calls under a held lock);
 * :mod:`.taint` — nondeterminism sources flowing into decision logs,
-  metric emissions, and ``ServingDecision`` fields;
-* :mod:`.metrics_contract` — emitted metric names/kinds/labels versus
-  the README metric table and DESIGN.md references.
+  metric emissions, and ``ServingDecision`` fields.
+
+Metric names, kinds and labels are not analyzed here: they are
+declared once in :mod:`repro.obs.catalog`, which the registry enforces.
 
 :func:`analyze_program` is the entry point: it honours inline
 ``# scoutlint: disable=<rule>`` comments (program-scope rules only) and
@@ -18,8 +19,6 @@ passes.  Output is deterministic regardless of input path order.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..findings import (
     Finding,
     apply_disables,
@@ -28,7 +27,6 @@ from ..findings import (
 )
 from .callgraph import Program, build_program
 from .lock_order import analyze_locks
-from .metrics_contract import analyze_metrics_contract, collect_registrations
 from .taint import analyze_taint
 
 __all__ = [
@@ -37,55 +35,15 @@ __all__ = [
     "Program",
     "analyze_locks",
     "analyze_taint",
-    "analyze_metrics_contract",
-    "collect_registrations",
-    "locate_doc",
 ]
 
 
-def locate_doc(paths, name: str) -> Path | None:
-    """Walk up from the first analyzed path to find a repo doc file."""
-    for entry in paths:
-        current = Path(entry).resolve()
-        if current.is_file():
-            current = current.parent
-        for _ in range(8):
-            candidate = current / name
-            if candidate.exists():
-                return candidate
-            if current.parent == current:
-                break
-            current = current.parent
-        break
-    return None
-
-
-def analyze_program(
-    paths,
-    *,
-    readme=None,
-    design=None,
-) -> list[Finding]:
-    """Run all whole-program passes over ``paths``.
-
-    ``readme``/``design`` override the metric-contract doc locations;
-    by default they are discovered by walking up from the first path
-    (pass ``readme=False`` to skip the contract check entirely).
-    """
+def analyze_program(paths) -> list[Finding]:
+    """Run all whole-program passes over ``paths``."""
     program = build_program(paths)
-    if readme is None:
-        readme = locate_doc(paths, "README.md")
-    if design is None:
-        design = locate_doc(paths, "DESIGN.md")
     raw: list[Finding] = []
     raw.extend(analyze_locks(program))
     raw.extend(analyze_taint(program))
-    if readme:
-        raw.extend(
-            analyze_metrics_contract(
-                program, readme_path=readme, design_path=design or None
-            )
-        )
 
     # Inline suppression: program-scope rules honour the same
     # ``# scoutlint: disable=...`` comments as the per-file passes.
@@ -96,17 +54,10 @@ def analyze_program(
         module.path: module.source for module in program.modules.values()
     }
     out: list[Finding] = []
-    for path in sorted(set(by_path) | set(sources)):
-        findings = by_path.get(path, [])
-        source = sources.get(path)
-        if source is None:
-            # Doc-file findings (README/DESIGN rows): no inline
-            # comments there; the allowlist still applies at the CLI.
-            out.extend(findings)
-            continue
-        disables = parse_python_disable_comments(source)
+    for path in sorted(sources):
+        disables = parse_python_disable_comments(sources[path])
         used: set[tuple[int, str]] = set()
-        out.extend(apply_disables(findings, disables, used))
+        out.extend(apply_disables(by_path.get(path, []), disables, used))
         out.extend(
             stale_suppressions(
                 disables, used, path=path, scopes=("program",)

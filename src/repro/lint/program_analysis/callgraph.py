@@ -1,9 +1,9 @@
 """Whole-program model for the scoutlint program analyzer.
 
 The per-file code checker (:mod:`repro.lint.code_lint`) sees one module
-at a time; the rules in this package (lock ordering, determinism taint,
-the metrics contract) are properties of *call paths*, so they need a
-program model first.  :func:`build_program` parses every ``.py`` file
+at a time; the rules in this package (lock ordering and determinism
+taint) are properties of *call paths*, so they need a program model
+first.  :func:`build_program` parses every ``.py`` file
 under the given roots and derives:
 
 * per-module import aliases (reusing ``code_lint._normalize_imports``

@@ -105,7 +105,7 @@ class FaultPlan:
 class FaultyStore:
     """A :class:`MonitoringStore` wrapper that injects planned faults.
 
-    Query methods (scalar, batch and matrix) consult the
+    Query methods (scalar and matrix) consult the
     :class:`FaultPlan` before delegating; every other attribute passes
     straight through to the wrapped store, so a ``FaultyStore`` drops in
     anywhere a store is accepted (feature builders, CPD+,
@@ -142,10 +142,6 @@ class FaultyStore:
         self._gate(dataset)
         return self.inner.query_series(dataset, component, t0, t1)
 
-    def query_series_batch(self, dataset, components, t0, t1):
-        self._gate(dataset)
-        return self.inner.query_series_batch(dataset, components, t0, t1)
-
     def query_series_matrix(self, dataset, components, t0, t1):
         self._gate(dataset)
         return self.inner.query_series_matrix(dataset, components, t0, t1)
@@ -154,19 +150,9 @@ class FaultyStore:
         self._gate(dataset)
         return self.inner.query_events(dataset, component, t0, t1)
 
-    def query_events_batch(self, dataset, components, t0, t1):
-        self._gate(dataset)
-        return self.inner.query_events_batch(dataset, components, t0, t1)
-
     def query_event_type_counts(self, dataset, component, t0, t1):
         self._gate(dataset)
         return self.inner.query_event_type_counts(dataset, component, t0, t1)
-
-    def query_event_type_counts_batch(self, dataset, components, t0, t1):
-        self._gate(dataset)
-        return self.inner.query_event_type_counts_batch(
-            dataset, components, t0, t1
-        )
 
     def query_event_type_counts_matrix(self, dataset, components, t0, t1):
         self._gate(dataset)

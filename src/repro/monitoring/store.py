@@ -31,15 +31,12 @@ from .generators import (
     _DAY,
     _EVENT_BIN,
     _HOUR,
-    _poisson_cdf,
     background_event_parts,
     baseline_series_values,
     normal_grid,
     poisson_counts,
     poisson_counts_grid,
     series_seed,
-    uniform_grid,
-    uniform_mixed,
 )
 
 __all__ = ["MonitoringStore"]
@@ -236,23 +233,6 @@ class MonitoringStore:
             np.maximum(values, spec.floor, out=values)
         return rows, timestamps, values
 
-    def query_series_batch(
-        self, dataset: str, components: list[Component], t0: float, t1: float
-    ) -> list[TimeSeries | None]:
-        """:meth:`query_series_matrix` as one entry per component.
-
-        Each covered component gets a :class:`TimeSeries` over its
-        matrix row (bit-identical to the scalar query); the others get
-        None.
-        """
-        positions, timestamps, values = self.query_series_matrix(
-            dataset, components, t0, t1
-        )
-        out: list[TimeSeries | None] = [None] * len(components)
-        for row, i in enumerate(positions.tolist()):
-            out[i] = TimeSeries(timestamps, values[row])
-        return out
-
     def _apply_series_effects(
         self,
         dataset: str,
@@ -335,92 +315,6 @@ class MonitoringStore:
             n_events = max(1, int(round(effect.rate * (hi - lo) / _HOUR)))
             time_parts.append(np.linspace(lo, hi, n_events, endpoint=False))
             types.extend([effect.event_type] * n_events)
-
-    def query_events_batch(
-        self, dataset: str, components: list[Component], t0: float, t1: float
-    ) -> list[EventSeries | None]:
-        """Batched :meth:`query_events` over many components.
-
-        Bit-identical per entry to the scalar query.  The Poisson bin
-        counts of every component hash through one
-        :func:`uniform_grid` call per event type, and the per-event
-        time offsets of all components concatenate into one
-        :func:`uniform_mixed` call — the per-component work that
-        remains is array slicing.
-        """
-        schema = self.schema(dataset)
-        if schema.kind is not DataKind.EVENT:
-            raise ValueError(f"{dataset} is not EVENT")
-        if t1 < t0:
-            raise ValueError("query window end must be >= start")
-        out: list[EventSeries | None] = [None] * len(components)
-        if not self.is_active(dataset):
-            return out
-        covered = [
-            (i, c) for i, c in enumerate(components) if schema.covers(c.kind)
-        ]
-        if not covered:
-            return out
-        first, last = _event_bins(t0, t1)
-        time_parts: list[list[np.ndarray]] = [[] for _ in covered]
-        types: list[list[str]] = [[] for _ in covered]
-        if last >= first:
-            indices = np.arange(first, last + 1, dtype=np.uint64)
-            seeds = np.array(
-                [self._series_seed(dataset, c.name) for _, c in covered],
-                dtype=np.uint64,
-            )
-            for stream, (event_type, hourly_rate) in enumerate(
-                sorted(schema.events.rates.items())
-            ):
-                lam = hourly_rate * _EVENT_BIN / _HOUR
-                if lam == 0.0:
-                    continue
-                u = uniform_grid(seeds, indices, stream=stream + 1)
-                counts = np.searchsorted(_poisson_cdf(lam), u)
-                rows = np.flatnonzero(counts.any(axis=1))
-                if rows.size == 0:
-                    continue
-                key_parts: list[np.ndarray] = []
-                seed_parts: list[np.ndarray] = []
-                bin_parts: list[np.ndarray] = []
-                for row in rows:
-                    nonzero = counts[row] > 0
-                    bins = indices[nonzero]
-                    per_bin = counts[row][nonzero]
-                    total = int(per_bin.sum())
-                    # Event j of a bin draws its offset at hash index
-                    # ``bin + j``, exactly as the scalar query does.
-                    rep_bins = np.repeat(bins, per_bin)
-                    ends = np.cumsum(per_bin)
-                    within = (
-                        np.arange(total, dtype=np.uint64)
-                        - np.repeat(ends - per_bin, per_bin).astype(np.uint64)
-                    )
-                    key_parts.append(rep_bins + within)
-                    seed_parts.append(
-                        np.full(total, seeds[row], dtype=np.uint64)
-                    )
-                    bin_parts.append(rep_bins)
-                offsets = uniform_mixed(
-                    np.concatenate(seed_parts),
-                    np.concatenate(key_parts),
-                    stream=1000 + stream,
-                )
-                pos = 0
-                for row, rep_bins in zip(rows, bin_parts):
-                    chunk = offsets[pos : pos + len(rep_bins)]
-                    pos += len(rep_bins)
-                    time_parts[row].append(
-                        rep_bins.astype(float) * _EVENT_BIN + chunk * _EVENT_BIN
-                    )
-                    types[row].extend([event_type] * len(rep_bins))
-        for row, (i, component) in enumerate(covered):
-            self._append_burst_events(
-                dataset, component.name, t0, t1, time_parts[row], types[row]
-            )
-            out[i] = _assemble_events(time_parts[row], types[row])
-        return out
 
     # -- count queries -------------------------------------------------------
 
@@ -535,30 +429,6 @@ class MonitoringStore:
                     )
                 counts[row, col] += n
         return np.asarray(positions, dtype=np.intp), tuple(types), counts
-
-    def query_event_type_counts_batch(
-        self, dataset: str, components: list[Component], t0: float, t1: float
-    ) -> list[dict[str, int] | None]:
-        """:meth:`query_event_type_counts_matrix` as one dict per component.
-
-        Each covered component's dict equals the scalar query's: the
-        schema's types whenever the window spans an event bin, plus
-        every type with a nonzero count.  Uncovered components (and all
-        of them while the dataset is inactive) get None.
-        """
-        positions, types, counts = self.query_event_type_counts_matrix(
-            dataset, components, t0, t1
-        )
-        first, last = _event_bins(t0, t1)
-        listed = len(self.schema(dataset).events.rates) if last >= first else 0
-        out: list[dict[str, int] | None] = [None] * len(components)
-        for i, row in zip(positions.tolist(), counts.tolist()):
-            out[i] = {
-                event_type: n
-                for col, (event_type, n) in enumerate(zip(types, row))
-                if n or col < listed
-            }
-        return out
 
     # -- convenience -------------------------------------------------------
 

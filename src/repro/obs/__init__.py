@@ -2,9 +2,10 @@
 
 The deployed Scout ran in *suggestion mode* so operators could watch
 what the model would have done (§6); this package is the watching
-apparatus for the reproduction — a deterministic metrics registry
-(:mod:`.metrics`), span-based tracing (:mod:`.tracing`), and a
-Prometheus-style text exposition (:mod:`.exposition`).  Everything is
+apparatus for the reproduction — the declared metric families
+(:mod:`.catalog`), a deterministic metrics registry (:mod:`.metrics`),
+span-based tracing (:mod:`.tracing`), and a Prometheus-style text
+exposition (:mod:`.exposition`).  Everything is
 driven by an injectable clock and free of randomness, so instrumented
 runs stay bit-reproducible: under a fake clock, two identical serving
 runs render byte-identical exposition text.
@@ -21,9 +22,9 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 
+from .catalog import DEFAULT_LATENCY_BUCKETS, MetricFamily
 from .exposition import parse_exposition, render_exposition
 from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -36,6 +37,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricFamily",
     "MetricsRegistry",
     "Observability",
     "Span",

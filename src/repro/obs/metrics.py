@@ -31,8 +31,9 @@ import threading
 import time
 from dataclasses import dataclass
 
+from .catalog import MetricFamily
+
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
     "BoundCounter",
     "Counter",
     "Gauge",
@@ -41,14 +42,6 @@ __all__ = [
     "QuantileReadout",
     "bucket_quantile",
 ]
-
-# Prometheus-style latency buckets (seconds), extended to cover the
-# multi-second deadline overruns the fault harness injects.
-DEFAULT_LATENCY_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
-
 
 @dataclass(frozen=True)
 class QuantileReadout:
@@ -92,16 +85,26 @@ def bucket_quantile(
 
 
 class _Instrument:
-    """Shared label plumbing for one metric family."""
+    """Shared label plumbing for one declared metric family."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str, label_names: tuple[str, ...]) -> None:
-        self.name = name
-        self.help = help
-        self.label_names = tuple(label_names)
+    def __init__(self, family: MetricFamily) -> None:
+        self.family = family
         self._lock = threading.Lock()
         self._series: dict[tuple[str, ...], object] = {}
+
+    @property
+    def name(self) -> str:
+        return self.family.name
+
+    @property
+    def help(self) -> str:
+        return self.family.help
+
+    @property
+    def label_names(self) -> tuple[str, ...]:
+        return self.family.labels
 
     def _key(self, labels: dict[str, object]) -> tuple[str, ...]:
         if set(labels) != set(self.label_names):
@@ -230,14 +233,9 @@ class Histogram(_Instrument):
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label_names: tuple[str, ...],
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, label_names)
+    def __init__(self, family: MetricFamily) -> None:
+        super().__init__(family)
+        buckets = family.buckets
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be a non-empty ascending sequence")
         self.buckets = tuple(float(b) for b in buckets)
@@ -322,8 +320,18 @@ class Histogram(_Instrument):
             return float(sum(s.sum for s in self._series.values()))
 
 
+def _shape(family: MetricFamily) -> tuple:
+    """What two registrations of one name must agree on."""
+    return family.kind, family.labels, family.buckets
+
+
 class MetricsRegistry:
     """Get-or-create home for every instrument of one serving process.
+
+    Instruments register by declared :class:`MetricFamily` (see
+    :mod:`repro.obs.catalog`): a name string is a ``TypeError``, and
+    registering a name again with another kind, label set or bucket
+    grid is a ``ValueError`` — the first declaration is the family.
 
     ``clock`` is the registry's time source for callers that want to
     measure durations consistently with the owning component (the
@@ -337,40 +345,34 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: dict[str, _Instrument] = {}
 
-    def _get_or_create(self, cls, name, help, label_names, **kwargs):
-        label_names = tuple(label_names)
+    def _get_or_create(self, cls, family: MetricFamily):
+        if not isinstance(family, MetricFamily):
+            raise TypeError(
+                f"register a declared MetricFamily (repro.obs.catalog), "
+                f"not {type(family).__name__}"
+            )
+        if family.kind != cls.kind:
+            raise ValueError(f"{family.name} is declared as a {family.kind}")
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = cls(name, help, label_names, **kwargs)
-                self._families[name] = family
-                return family
-        if not isinstance(family, cls):
+            existing = self._families.get(family.name)
+            if existing is None:
+                existing = self._families[family.name] = cls(family)
+        declared = existing.family
+        if _shape(declared) != _shape(family):
             raise ValueError(
-                f"{name} already registered as a {family.kind}"
+                f"{family.name} already registered as a {declared.kind} "
+                f"with labels {declared.labels} and buckets {declared.buckets}"
             )
-        if family.label_names != label_names:
-            raise ValueError(
-                f"{name} already registered with labels {family.label_names}"
-            )
-        return family
+        return existing
 
-    def counter(self, name: str, help: str = "", labels=()) -> Counter:
-        return self._get_or_create(Counter, name, help, labels)
+    def counter(self, family: MetricFamily) -> Counter:
+        return self._get_or_create(Counter, family)
 
-    def gauge(self, name: str, help: str = "", labels=()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
+    def gauge(self, family: MetricFamily) -> Gauge:
+        return self._get_or_create(Gauge, family)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels=(),
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labels, buckets=buckets
-        )
+    def histogram(self, family: MetricFamily) -> Histogram:
+        return self._get_or_create(Histogram, family)
 
     def get(self, name: str) -> _Instrument | None:
         with self._lock:

@@ -72,6 +72,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..analysis.calibration import ReliabilityBucket, reliability_curve
 from ..incidents.incident import Incident
+from ..obs import catalog
 from ..simulation.scout_master import ScoutAnswer, ScoutMaster
 from ..simulation.teams import Team, TeamRegistry, default_teams
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
@@ -796,40 +797,19 @@ class FleetServer:
 
     def _init_metrics(self) -> None:
         metrics = self.obs.metrics
-        metrics.gauge(
-            "fleet_teams", "Team Scouts registered in the fleet."
-        ).set(len(self.roster.specs))
-        metrics.gauge(
-            "fleet_shards", "Scout shards the fleet fans out over."
-        ).set(self.shard_count)
-        self._m_incidents = metrics.counter(
-            "fleet_incidents_total", "Incidents routed by the fleet."
-        )
-        self._m_decisions = metrics.counter(
-            "fleet_decisions_total",
-            "Fleet decisions by result (suggested vs. legacy fallback).",
-            labels=("result",),
-        )
-        self._m_reroutes = metrics.counter(
-            "fleet_reroutes_total",
-            "Re-route chain hops taken past bouncing or broken candidates.",
-        )
-        answers = metrics.counter(
-            "fleet_scout_answers_total",
-            "Per-Scout fleet call outcomes.",
-            labels=("status",),
-        )
+        metrics.gauge(catalog.FLEET_TEAMS).set(len(self.roster.specs))
+        metrics.gauge(catalog.FLEET_SHARDS).set(self.shard_count)
+        self._m_incidents = metrics.counter(catalog.FLEET_INCIDENTS_TOTAL)
+        self._m_decisions = metrics.counter(catalog.FLEET_DECISIONS_TOTAL)
+        self._m_reroutes = metrics.counter(catalog.FLEET_REROUTES_TOTAL)
+        answers = metrics.counter(catalog.FLEET_SCOUT_ANSWERS_TOTAL)
         self._m_answers = {
             status: answers.bind(status=status)
             for status in ("breaker_open", "retry", "error", "ok")
         }
-        self._m_breakers = metrics.gauge(
-            "fleet_breakers_open",
-            "Fleet Scouts currently behind an open breaker.",
-        )
+        self._m_breakers = metrics.gauge(catalog.FLEET_BREAKERS_OPEN)
         self._m_latency = metrics.histogram(
-            "fleet_route_latency_seconds",
-            "Wall time per route_trace call on the injected clock.",
+            catalog.FLEET_ROUTE_LATENCY_SECONDS
         )
 
     # -- lifecycle ---------------------------------------------------------

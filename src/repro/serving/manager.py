@@ -46,7 +46,7 @@ from ..core.scout import Scout, ScoutPrediction
 from ..core.selector import Route
 from ..incidents.incident import Incident
 from ..ml.base import resolve_n_jobs
-from ..obs import Observability
+from ..obs import Observability, catalog
 from ..simulation.scout_master import ScoutAnswer, ScoutMaster
 from ..simulation.teams import TeamRegistry
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
@@ -378,70 +378,35 @@ class IncidentManager:
         # several in-flight incidents fan out to the same team.
         self._team_locks: dict[str, threading.Lock] = {}
         metrics = self.obs.metrics
-        self._m_calls = metrics.counter(
-            "scout_calls_total",
-            "Per-Scout call outcomes by CallStatus.",
-            labels=("team", "status"),
-        )
-        self._m_latency = metrics.histogram(
-            "scout_call_latency_seconds",
-            "Latency of calls that reached the Scout (OK/ERROR/TIMEOUT).",
-            labels=("team",),
-        )
-        self._m_incidents = metrics.counter(
-            "serving_incidents_total", "Incidents handled by the manager."
-        )
+        self._m_calls = metrics.counter(catalog.SCOUT_CALLS_TOTAL)
+        self._m_latency = metrics.histogram(catalog.SCOUT_CALL_LATENCY_SECONDS)
+        self._m_incidents = metrics.counter(catalog.SERVING_INCIDENTS_TOTAL)
         self._m_suggestions = metrics.counter(
-            "serving_suggestions_total",
-            "Decisions that suggested a responsible team.",
+            catalog.SERVING_SUGGESTIONS_TOTAL
         )
         self._m_model_abstains = metrics.counter(
-            "serving_model_abstains_total",
-            "Healthy calls whose Scout abstained (model fallback).",
-            labels=("team",),
+            catalog.SERVING_MODEL_ABSTAINS_TOTAL
         )
         self._m_degraded = metrics.counter(
-            "serving_degraded_incidents_total",
-            "Incidents with at least one unhealthy Scout call.",
+            catalog.SERVING_DEGRADED_INCIDENTS_TOTAL
         )
         self._m_handle_latency = metrics.histogram(
-            "serving_handle_latency_seconds",
-            "End-to-end fan-out + composition latency per incident.",
+            catalog.SERVING_HANDLE_LATENCY_SECONDS
         )
         self._m_transitions = metrics.counter(
-            "scout_breaker_transitions_total",
-            "Circuit-breaker state transitions observed around calls.",
-            labels=("team", "from_state", "to_state"),
+            catalog.SCOUT_BREAKER_TRANSITIONS_TOTAL
         )
-        self._m_breaker_state = metrics.gauge(
-            "scout_breaker_state",
-            "Breaker state per team (0=closed, 1=half_open, 2=open).",
-            labels=("team",),
-        )
-        self._m_model_epoch = metrics.gauge(
-            "scout_model_epoch",
-            "Serving model generation per team (1 at register, +1 per swap).",
-            labels=("team",),
-        )
-        self._m_swaps = metrics.counter(
-            "scout_swaps_total",
-            "Zero-downtime model hot-swaps applied per team.",
-            labels=("team",),
-        )
+        self._m_breaker_state = metrics.gauge(catalog.SCOUT_BREAKER_STATE)
+        self._m_model_epoch = metrics.gauge(catalog.SCOUT_MODEL_EPOCH)
+        self._m_swaps = metrics.counter(catalog.SCOUT_SWAPS_TOTAL)
         self._m_shadow_calls = metrics.counter(
-            "scout_shadow_calls_total",
-            "Shadow-candidate calls by outcome status.",
-            labels=("team", "status"),
+            catalog.SCOUT_SHADOW_CALLS_TOTAL
         )
         self._m_shadow_diffs = metrics.counter(
-            "scout_shadow_diffs_total",
-            "Healthy shadow answers that differ from production.",
-            labels=("team",),
+            catalog.SCOUT_SHADOW_DIFFS_TOTAL
         )
         self._m_shadow_latency = metrics.histogram(
-            "scout_shadow_latency_seconds",
-            "Latency of shadow-candidate calls (never on the serving path).",
-            labels=("team",),
+            catalog.SCOUT_SHADOW_LATENCY_SECONDS
         )
 
     # -- registration ------------------------------------------------------

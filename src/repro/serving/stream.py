@@ -54,11 +54,11 @@ from enum import Enum
 import numpy as np
 
 from ..incidents.incident import Incident, Severity
+from ..obs import catalog
 from ..obs.metrics import bucket_quantile
 from .manager import IncidentManager, ServingDecision
 
 __all__ = [
-    "STREAM_WAIT_BUCKETS",
     "ShedPolicy",
     "StreamStatus",
     "StreamOutcome",
@@ -67,18 +67,6 @@ __all__ = [
     "StreamServer",
     "poisson_arrivals",
 ]
-
-# Queue waits are not scout-call latencies: an overloaded stream parks
-# incidents for whole seconds, where the default latency grid jumps
-# 2.5 → 5 → 10 and a true p99 of ~4.2s reads as exactly 5.0 —
-# indistinguishable from a 5-second budget sentinel.  The wait grid is
-# dense through the single-digit seconds and extends to 10 minutes so
-# a pathological backlog still resolves instead of clamping.
-STREAM_WAIT_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0, 8.0,
-    10.0, 15.0, 20.0, 30.0, 60.0, 120.0, 300.0, 600.0,
-)
 
 
 class ShedPolicy(str, Enum):
@@ -143,9 +131,9 @@ class SLOViolation:
 # SLO stages resolve to histogram families the pipeline already emits;
 # "queue" is the stream server's own wait histogram.
 _STAGE_HISTOGRAMS = {
-    "handle": "serving_handle_latency_seconds",
-    "scout": "scout_call_latency_seconds",
-    "queue": "stream_queue_wait_seconds",
+    "handle": catalog.SERVING_HANDLE_LATENCY_SECONDS,
+    "scout": catalog.SCOUT_CALL_LATENCY_SECONDS,
+    "queue": catalog.STREAM_QUEUE_WAIT_SECONDS,
 }
 
 
@@ -179,15 +167,9 @@ class SLOTracker:
         self.min_samples = min_samples
         self._snapshots: dict[str, tuple[list[int], int]] = {}
         self._m_violations = metrics.counter(
-            "stream_slo_violations_total",
-            "SLO checks whose interval p99 exceeded the stage budget.",
-            labels=("stage",),
+            catalog.STREAM_SLO_VIOLATIONS_TOTAL
         )
-        self._m_p99 = metrics.gauge(
-            "stream_slo_p99_seconds",
-            "Interval p99 per SLO stage at the latest check with enough samples.",
-            labels=("stage",),
-        )
+        self._m_p99 = metrics.gauge(catalog.STREAM_SLO_P99_SECONDS)
 
     def _aggregate(self, family) -> tuple[list[int], int]:
         """Bucket counts + total count summed across a family's series."""
@@ -203,7 +185,7 @@ class SLOTracker:
         """Compare each budgeted stage's interval p99 to its budget."""
         violations: list[SLOViolation] = []
         for stage in sorted(self.budgets):
-            family = self.metrics.get(_STAGE_HISTOGRAMS[stage])
+            family = self.metrics.get(_STAGE_HISTOGRAMS[stage].name)
             if family is None:
                 continue
             counts, total = self._aggregate(family)
@@ -353,38 +335,15 @@ class StreamServer:
             else None
         )
         metrics = self.obs.metrics
-        self._m_submitted = metrics.counter(
-            "stream_submitted_total",
-            "Incidents offered to the stream server, by severity.",
-            labels=("severity",),
-        )
-        self._m_admitted = metrics.counter(
-            "stream_admitted_total",
-            "Incidents admitted to the queue, by severity.",
-            labels=("severity",),
-        )
-        self._m_served = metrics.counter(
-            "stream_served_total",
-            "Incidents served through the full Scout fan-out, by severity.",
-            labels=("severity",),
-        )
-        self._m_shed = metrics.counter(
-            "stream_shed_total",
-            "Incidents shed instead of queued, by cause and severity.",
-            labels=("reason", "severity"),
-        )
+        self._m_submitted = metrics.counter(catalog.STREAM_SUBMITTED_TOTAL)
+        self._m_admitted = metrics.counter(catalog.STREAM_ADMITTED_TOTAL)
+        self._m_served = metrics.counter(catalog.STREAM_SERVED_TOTAL)
+        self._m_shed = metrics.counter(catalog.STREAM_SHED_TOTAL)
         self._m_triage = metrics.counter(
-            "stream_triage_suggestions_total",
-            "Shed incidents the selector-only fast path still routed.",
+            catalog.STREAM_TRIAGE_SUGGESTIONS_TOTAL
         )
-        self._m_depth = metrics.gauge(
-            "stream_queue_depth", "Incidents currently waiting in the queue."
-        )
-        self._m_wait = metrics.histogram(
-            "stream_queue_wait_seconds",
-            "Time from admission to the start of the Scout fan-out.",
-            buckets=STREAM_WAIT_BUCKETS,
-        )
+        self._m_depth = metrics.gauge(catalog.STREAM_QUEUE_DEPTH)
+        self._m_wait = metrics.histogram(catalog.STREAM_QUEUE_WAIT_SECONDS)
 
     # -- introspection -----------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro.core.cpd_plus import CPDPlus
 from repro.datacenter import ComponentKind
 from repro.monitoring import FailureEffect
 from repro.monitoring.base import DataKind
+from repro.monitoring.store import _event_bins
 from tests.oracles import OracleFeatureBuilder, oracle_cpd_signals
 
 _SETTINGS = settings(
@@ -245,8 +246,12 @@ def test_matrix_queries_match_scalar(
             scalar = [
                 store.query_event_type_counts(name, d, t0, t1) for d in picked
             ]
-            batch = store.query_event_type_counts_batch(name, picked, t0, t1)
-            assert batch == scalar
+            schema_types = sorted(schema.events.rates)
+            assert list(types[: len(schema_types)]) == schema_types
+            # The scalar query lists the quiet schema types (as zeros)
+            # exactly when the window spans an event bin.
+            first, last = _event_bins(t0, t1)
+            listed = set(schema_types) if last >= first else set()
         else:
             positions, timestamps, values = store.query_series_matrix(
                 name, picked, t0, t1
@@ -262,6 +267,7 @@ def test_matrix_queries_match_scalar(
                 assert set(want) <= set(types)
                 got = dict(zip(types, counts[row].tolist()))
                 assert got == {t: want.get(t, 0) for t in types}
+                assert set(want) == listed | {t for t, n in got.items() if n}
             else:
                 assert timestamps.tobytes() == want.timestamps.tobytes()
                 assert values[row].tobytes() == want.values.tobytes()

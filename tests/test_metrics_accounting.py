@@ -9,17 +9,23 @@ finite buckets clamps to the top bound, indistinguishable from
 These tests pin the fixes: the shared ``bucket_quantile`` helper carries
 a ``saturated`` flag, ``SLOTracker`` treats a saturated interval p99 as
 a violation unconditionally, and the stream-wait grid resolves
-multi-second waits.
+multi-second waits.  Property tests hold ``bucket_quantile`` and the
+tracker's interval-p99 diffs to their definitions on random inputs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import MetricFamily, catalog
+from repro.obs.catalog import STREAM_WAIT_BUCKETS
 from repro.obs.metrics import MetricsRegistry, QuantileReadout, bucket_quantile
-from repro.serving.stream import SLOTracker, STREAM_WAIT_BUCKETS
+from repro.serving.stream import SLOTracker
 
 
 # -- the shared quantile helper (satellite: clamp-pattern audit) -------------
@@ -50,7 +56,9 @@ class TestBucketQuantile:
 
     def test_histogram_quantile_ex_matches_plain_quantile(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("h", buckets=(0.5, 1.0))
+        hist = registry.histogram(
+            MetricFamily("h", "histogram", (), "", doc="", buckets=(0.5, 1.0))
+        )
         for v in (0.2, 0.4, 2.0):
             hist.observe(v)
         assert hist.quantile(0.5) == hist.quantile_ex(0.5).value == 0.5
@@ -66,7 +74,7 @@ class TestSaturatedSLO:
     def _tracker(budget: float, buckets=(0.1, 1.0)):
         metrics = MetricsRegistry()
         wait = metrics.histogram(
-            "stream_queue_wait_seconds", "waits", buckets=buckets
+            replace(catalog.STREAM_QUEUE_WAIT_SECONDS, buckets=buckets)
         )
         tracker = SLOTracker(metrics, {"queue": budget}, min_samples=4)
         return metrics, wait, tracker
@@ -118,9 +126,8 @@ class TestStreamWaitBuckets:
         # jumps 2.5 → 5.0 and read it as exactly 5.0.  The wait grid
         # resolves it to the 4.5 bound.
         registry = MetricsRegistry()
-        wait = registry.histogram(
-            "w", buckets=STREAM_WAIT_BUCKETS
-        )
+        wait = registry.histogram(catalog.STREAM_QUEUE_WAIT_SECONDS)
+        assert wait.buckets == STREAM_WAIT_BUCKETS
         for _ in range(99):
             wait.observe(4.2)
         wait.observe(0.01)
@@ -131,3 +138,103 @@ class TestStreamWaitBuckets:
     def test_grid_extends_beyond_the_slo_sentinel_range(self):
         assert STREAM_WAIT_BUCKETS[-1] >= 600.0
         assert list(STREAM_WAIT_BUCKETS) == sorted(STREAM_WAIT_BUCKETS)
+
+
+# -- properties -------------------------------------------------------------
+
+_bucket_grids = st.lists(
+    st.floats(0.001, 1000.0), min_size=1, max_size=8, unique=True
+).map(sorted)
+
+
+@st.composite
+def _bucket_histograms(draw):
+    """(buckets, finite bucket counts, total count incl. +Inf), count > 0."""
+    buckets = draw(_bucket_grids)
+    counts = draw(
+        st.lists(st.integers(0, 20), min_size=len(buckets),
+                 max_size=len(buckets))
+    )
+    overflow = draw(st.integers(0, 20))
+    total = sum(counts) + overflow
+    if total == 0:
+        counts[-1] = 1
+        total = 1
+    return buckets, counts, total
+
+
+class TestBucketQuantileProperties:
+    @given(hist=_bucket_histograms(), qs=st.lists(
+        st.floats(0.0, 1.0), min_size=2, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_in_q(self, hist, qs):
+        buckets, counts, total = hist
+        values = [
+            bucket_quantile(buckets, counts, total, q).value
+            for q in sorted(qs)
+        ]
+        assert values == sorted(values)
+
+    @given(hist=_bucket_histograms(), q=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_result_is_smallest_bound_covering_q(self, hist, q):
+        buckets, counts, total = hist
+        readout = bucket_quantile(buckets, counts, total, q)
+        assert readout.value in buckets
+        finite = sum(counts)
+        # The q-th observation is ranked max(1, q * total); it lands in
+        # the implicit +Inf bucket exactly when the finite buckets
+        # hold fewer observations than that.
+        need = max(1.0, q * total)
+        assert readout.saturated == (finite < need)
+        if readout.saturated:
+            assert readout.value == buckets[-1]
+            return
+        i = buckets.index(readout.value)
+        assert sum(counts[: i + 1]) >= need
+        assert sum(counts[:i]) < need
+
+
+class TestSLOIntervalProperties:
+    @given(
+        batches=st.lists(
+            st.lists(st.floats(0.0, 1000.0), max_size=12),
+            min_size=1, max_size=6,
+        ),
+        min_samples=st.integers(1, 6),
+        budget=st.floats(0.01, 100.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interval_p99_is_p99_of_the_interval_alone(
+        self, batches, min_samples, budget
+    ):
+        metrics = MetricsRegistry()
+        wait = metrics.histogram(catalog.STREAM_QUEUE_WAIT_SECONDS)
+        tracker = SLOTracker(metrics, {"queue": budget}, min_samples)
+        p99_gauge = metrics.get("stream_slo_p99_seconds")
+        pending: list[float] = []
+        for batch in batches:
+            for value in batch:
+                wait.observe(value)
+            pending.extend(batch)
+            violations = tracker.check()
+            if len(pending) < min_samples:
+                # Too thin to judge: no verdict, and the observations
+                # carry over into the next interval.
+                assert violations == []
+                continue
+            alone = MetricsRegistry().histogram(
+                catalog.STREAM_QUEUE_WAIT_SECONDS
+            )
+            for value in pending:
+                alone.observe(value)
+            want = alone.quantile_ex(0.99)
+            assert p99_gauge.value(stage="queue") == want.value
+            violated = want.saturated or want.value > budget
+            assert [v.p99 for v in violations] == (
+                [want.value] if violated else []
+            )
+            if violations:
+                assert violations[0].saturated == want.saturated
+                assert violations[0].samples == len(pending)
+            pending = []

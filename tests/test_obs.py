@@ -8,12 +8,14 @@ workloads.
 
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.monitoring import FakeClock
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
+    MetricFamily,
     Observability,
     Tracer,
     maybe_span,
@@ -23,12 +25,22 @@ from repro.obs import (
 from repro.obs.metrics import MetricsRegistry
 
 
+def family(name, kind="counter", labels=(), help="", buckets=None):
+    """A test-local declared family (src code registers catalog ones)."""
+    if kind == "histogram" and buckets is None:
+        buckets = DEFAULT_LATENCY_BUCKETS
+    return MetricFamily(name, kind, labels, help, doc="", buckets=buckets)
+
+
+CALLS = family("calls_total", labels=("team",), help="Calls.")
+
+
 # -- counters and gauges ----------------------------------------------------
 
 
 def test_counter_inc_value_and_total():
     registry = MetricsRegistry()
-    calls = registry.counter("calls_total", "calls", labels=("team",))
+    calls = registry.counter(CALLS)
     calls.inc(1, team="PhyNet")
     calls.inc(2, team="PhyNet")
     calls.inc(5, team="DNS")
@@ -43,7 +55,7 @@ def test_counter_inc_value_and_total():
 
 def test_counter_rejects_negative_and_wrong_labels():
     registry = MetricsRegistry()
-    calls = registry.counter("calls_total", labels=("team",))
+    calls = registry.counter(CALLS)
     with pytest.raises(ValueError, match="only go up"):
         calls.inc(-1, team="PhyNet")
     with pytest.raises(ValueError, match="takes labels"):
@@ -54,7 +66,7 @@ def test_counter_rejects_negative_and_wrong_labels():
 
 def test_counter_bind_fast_path():
     registry = MetricsRegistry()
-    calls = registry.counter("calls_total", labels=("team",))
+    calls = registry.counter(CALLS)
     bound = calls.bind(team="PhyNet")
     bound.inc()
     bound.inc(2)
@@ -65,12 +77,12 @@ def test_counter_bind_fast_path():
     with pytest.raises(ValueError, match="takes labels"):
         calls.bind(squad="PhyNet")  # validation happens at bind time
     clone = pickle.loads(pickle.dumps(registry))
-    assert clone.counter("calls_total", labels=("team",)).total() == 4
+    assert clone.counter(CALLS).total() == 4
 
 
 def test_gauge_set_inc_dec():
     registry = MetricsRegistry()
-    gauge = registry.gauge("depth", labels=("queue",))
+    gauge = registry.gauge(family("depth", "gauge", ("queue",)))
     gauge.set(4.0, queue="a")
     gauge.inc(2.0, queue="a")
     gauge.dec(5.0, queue="a")
@@ -79,14 +91,27 @@ def test_gauge_set_inc_dec():
 
 def test_registry_get_or_create_is_idempotent_and_typed():
     registry = MetricsRegistry()
-    first = registry.counter("x_total", "help", labels=("a",))
-    assert registry.counter("x_total", "other help", labels=("a",)) is first
+    x_total = family("x_total", labels=("a",), help="help")
+    first = registry.counter(x_total)
+    assert registry.counter(replace(x_total, help="other help")) is first
     with pytest.raises(ValueError, match="already registered as a counter"):
-        registry.gauge("x_total", labels=("a",))
-    with pytest.raises(ValueError, match="already registered with labels"):
-        registry.counter("x_total", labels=("b",))
+        registry.gauge(replace(x_total, kind="gauge"))
+    with pytest.raises(ValueError, match=r"counter with labels \('a',\)"):
+        registry.counter(replace(x_total, labels=("b",)))
+    with pytest.raises(ValueError, match="declared as a counter"):
+        registry.gauge(x_total)
     assert registry.get("x_total") is first
     assert registry.get("missing") is None
+
+
+def test_histogram_reregistered_with_other_buckets_raises():
+    registry = MetricsRegistry()
+    lat = family("lat", "histogram", buckets=(0.1, 1.0))
+    first = registry.histogram(lat)
+    assert registry.histogram(replace(lat, help="other help")) is first
+    with pytest.raises(ValueError, match=r"buckets \(0\.1, 1\.0\)"):
+        registry.histogram(replace(lat, buckets=(0.5, 1.0)))
+    assert registry.get("lat").buckets == (0.1, 1.0)
 
 
 # -- histograms -------------------------------------------------------------
@@ -94,7 +119,9 @@ def test_registry_get_or_create_is_idempotent_and_typed():
 
 def test_histogram_quantiles_resolve_to_bucket_bounds():
     registry = MetricsRegistry()
-    hist = registry.histogram("lat", buckets=(0.1, 0.5, 1.0))
+    hist = registry.histogram(
+        family("lat", "histogram", buckets=(0.1, 0.5, 1.0))
+    )
     for value in (0.05, 0.05, 0.3, 0.3, 0.3, 0.3, 0.3, 0.9, 0.9, 0.9):
         hist.observe(value)
     assert hist.count() == 10
@@ -110,7 +137,7 @@ def test_histogram_quantiles_resolve_to_bucket_bounds():
 
 def test_histogram_empty_is_nan_and_overflow_caps():
     registry = MetricsRegistry()
-    hist = registry.histogram("lat", buckets=(0.1, 1.0))
+    hist = registry.histogram(family("lat", "histogram", buckets=(0.1, 1.0)))
     assert math.isnan(hist.quantile(0.5))
     assert hist.quantile_ex(0.5).saturated is False  # empty != saturated
     hist.observe(50.0)  # beyond the largest finite bucket (+Inf bucket)
@@ -125,8 +152,8 @@ def test_histogram_empty_is_nan_and_overflow_caps():
 def test_histogram_validates_buckets_and_q():
     registry = MetricsRegistry()
     with pytest.raises(ValueError, match="ascending"):
-        registry.histogram("bad", buckets=(1.0, 0.5))
-    hist = registry.histogram("lat")
+        registry.histogram(family("bad", "histogram", buckets=(1.0, 0.5)))
+    hist = registry.histogram(family("lat", "histogram"))
     assert hist.buckets == DEFAULT_LATENCY_BUCKETS
     with pytest.raises(ValueError, match="q must be"):
         hist.quantile(1.5)
@@ -137,11 +164,11 @@ def test_histogram_validates_buckets_and_q():
 
 def _tiny_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("calls_total", "Calls.", labels=("team",)).inc(
-        3, team="PhyNet"
+    registry.counter(CALLS).inc(3, team="PhyNet")
+    registry.gauge(family("up", "gauge", help="Liveness.")).set(1.0)
+    hist = registry.histogram(
+        family("lat_seconds", "histogram", help="Latency.", buckets=(0.1, 1.0))
     )
-    registry.gauge("up", "Liveness.").set(1.0)
-    hist = registry.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0))
     hist.observe(0.05)
     hist.observe(0.5)
     hist.observe(7.0)
@@ -179,7 +206,7 @@ def test_exposition_is_byte_deterministic():
 
 def test_exposition_escapes_label_values():
     registry = MetricsRegistry()
-    registry.counter("c_total", labels=("msg",)).inc(
+    registry.counter(family("c_total", labels=("msg",))).inc(
         1, msg='quote " slash \\ newline\n'
     )
     text = render_exposition(registry)
@@ -200,8 +227,8 @@ def test_registry_pickles_to_identical_exposition():
     registry = _tiny_registry()
     clone = pickle.loads(pickle.dumps(registry))
     assert render_exposition(clone) == render_exposition(registry)
-    clone.counter("calls_total", labels=("team",)).inc(1, team="DNS")
-    assert clone.counter("calls_total", labels=("team",)).total() == 4
+    clone.counter(CALLS).inc(1, team="DNS")
+    assert clone.counter(CALLS).total() == 4
 
 
 # -- tracing ----------------------------------------------------------------
@@ -291,5 +318,5 @@ def test_observability_bundles_clock_registry_tracer():
     obs = Observability(clock=clock)
     assert obs.metrics.clock is clock
     assert obs.trace.clock is clock
-    obs.metrics.counter("c_total").inc()
+    obs.metrics.counter(family("c_total")).inc()
     assert "c_total 1" in obs.render()

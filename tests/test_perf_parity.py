@@ -137,14 +137,17 @@ def test_query_series_batch_matches_scalar(sim):
     assert names
     for name in names:
         for window in [(0.0, 7200.0), (4e6, 4e6 + 7200.0), (-9000.0, -4000.0)]:
-            batch = store.query_series_batch(name, devices, *window)
-            for device, got in zip(devices, batch):
+            positions, timestamps, values = store.query_series_matrix(
+                name, devices, *window
+            )
+            rows = dict(zip(positions.tolist(), values))
+            for i, device in enumerate(devices):
                 want = store.query_series(name, device, *window)
                 if want is None:
-                    assert got is None
+                    assert i not in rows
                 else:
-                    assert np.array_equal(want.timestamps, got.timestamps)
-                    assert np.array_equal(want.values, got.values)
+                    assert np.array_equal(want.timestamps, timestamps)
+                    assert np.array_equal(want.values, rows[i])
 
 
 def _event_datasets(store) -> list[str]:
@@ -183,48 +186,35 @@ def burst_store(sim):
     store.restore_effects(snapshot)
 
 
-def test_query_events_batch_matches_scalar(burst_store, sim):
-    store = burst_store
-    devices = _devices(sim)
-    names = _event_datasets(store)
-    assert names
-    for name in names:
-        for window in _EVENT_WINDOWS:
-            batch = store.query_events_batch(name, devices, *window)
-            for device, got in zip(devices, batch):
-                want = store.query_events(name, device, *window)
-                if want is None:
-                    assert got is None
-                else:
-                    assert np.array_equal(want.timestamps, got.timestamps)
-                    assert want.types == got.types
-
-
 def test_query_event_type_counts_batch_matches_scalar(burst_store, sim):
     store = burst_store
     devices = _devices(sim)
     seen_burst = seen_uncovered = False
     for name in _event_datasets(store):
-        schema_types = set(store.schema(name).events.rates)
+        schema_types = sorted(store.schema(name).events.rates)
         for window in _EVENT_WINDOWS:
-            batch = store.query_event_type_counts_batch(name, devices, *window)
-            assert len(batch) == len(devices)
-            for device, got in zip(devices, batch):
-                assert got == store.query_event_type_counts(
-                    name, device, *window
-                )
+            positions, types, counts = store.query_event_type_counts_matrix(
+                name, devices, *window
+            )
+            assert list(types[: len(schema_types)]) == schema_types
+            rows = dict(zip(positions.tolist(), counts.tolist()))
+            for i, device in enumerate(devices):
+                want = store.query_event_type_counts(name, device, *window)
                 events = store.query_events(name, device, *window)
                 if events is None:
-                    assert got is None
+                    assert want is None and i not in rows
                     seen_uncovered = True
                     continue
+                got = dict(zip(types, rows[i]))
+                assert set(want) <= set(types)
+                assert got == {t: want.get(t, 0) for t in types}
                 assert {t: n for t, n in got.items() if n} == (
                     events.count_by_type()
                 )
                 # Quiet schema types are explicit zeros whenever the
                 # window spans an event bin.
                 if window[1] - window[0] >= 60.0:
-                    assert schema_types <= set(got)
+                    assert set(schema_types) <= set(want)
                 seen_burst = seen_burst or got.get("injected", 0) > 0
     assert seen_burst and seen_uncovered
 
@@ -233,11 +223,15 @@ def test_query_event_type_counts_batch_inactive_dataset(sim):
     store = sim.store
     devices = _devices(sim)
     name = _event_datasets(store)[0]
+    n_types = len(store.schema(name).events.rates)
     store.deactivate(name)
     try:
         for window in _EVENT_WINDOWS:
-            batch = store.query_event_type_counts_batch(name, devices, *window)
-            assert batch == [None] * len(devices)
+            positions, types, counts = store.query_event_type_counts_matrix(
+                name, devices, *window
+            )
+            assert positions.size == 0
+            assert counts.shape == (0, n_types) and len(types) == n_types
             assert all(
                 store.query_event_type_counts(name, d, *window) is None
                 for d in devices

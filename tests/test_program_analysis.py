@@ -1,8 +1,7 @@
 """Whole-program analyzer tests (``repro.lint.program_analysis``).
 
 One executable fixture per rule — inverted lock order, blocking call
-under a lock, wall-clock into a decision log, metric/doc drift — plus
-the self-check that ``src/repro`` itself is clean, the byte-determinism
+under a lock, wall-clock into a decision log — plus the self-check that ``src/repro`` itself is clean, the byte-determinism
 property of ``--format json``, and the ``--changed`` pre-flight path.
 """
 
@@ -14,14 +13,7 @@ from pathlib import Path
 
 from repro.lint import Severity, analyze_program
 from repro.lint.cli import main as lint_main
-from repro.lint.program_analysis import (
-    build_program,
-    collect_registrations,
-    locate_doc,
-)
-from repro.lint.program_analysis.metrics_contract import (
-    analyze_metrics_contract,
-)
+from repro.lint.program_analysis import build_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -75,7 +67,7 @@ INVERTED_LOCKS = """\
 class TestLockOrder:
     def test_inverted_order_is_a_cycle_error(self, tmp_path):
         tree = write_tree(tmp_path, {"mgr.py": INVERTED_LOCKS})
-        findings = analyze_program([tree], readme=False)
+        findings = analyze_program([tree])
         f = finding(findings, "lock-order-cycle")
         assert f.severity is Severity.ERROR
         # Both acquisition sites and both lock names are in the proof.
@@ -91,7 +83,7 @@ class TestLockOrder:
         )
         tree = write_tree(tmp_path, {"mgr.py": consistent})
         assert "lock-order-cycle" not in rules_of(
-            analyze_program([tree], readme=False)
+            analyze_program([tree])
         )
 
     def test_interprocedural_cycle_names_call_path(self, tmp_path):
@@ -121,7 +113,7 @@ class TestLockOrder:
         """
         tree = write_tree(tmp_path, {"mgr.py": source})
         f = finding(
-            analyze_program([tree], readme=False), "lock-order-cycle"
+            analyze_program([tree]), "lock-order-cycle"
         )
         # The A->B edge comes through the outer -> inner call.
         assert "Manager.outer" in f.message
@@ -151,7 +143,7 @@ class TestLockOrder:
                     return {}
         """
         tree = write_tree(tmp_path, {"mgr.py": source})
-        findings = analyze_program([tree], readme=False)
+        findings = analyze_program([tree])
         assert "lock-order-cycle" not in rules_of(findings)
         # ... but the edge itself was seen (local alias resolved).
         program = build_program([tree])
@@ -181,7 +173,7 @@ class TestLockOrder:
         """
         tree = write_tree(tmp_path, {"worker.py": source})
         f = finding(
-            analyze_program([tree], readme=False), "lock-held-blocking"
+            analyze_program([tree]), "lock-held-blocking"
         )
         assert f.severity is Severity.WARN
         assert "time.sleep()" in f.message
@@ -204,7 +196,7 @@ class TestLockOrder:
         """
         tree = write_tree(tmp_path, {"worker.py": source})
         assert "lock-held-blocking" in rules_of(
-            analyze_program([tree], readme=False)
+            analyze_program([tree])
         )
 
     def test_dict_get_under_lock_is_not_blocking(self, tmp_path):
@@ -225,7 +217,7 @@ class TestLockOrder:
         """
         tree = write_tree(tmp_path, {"worker.py": source})
         assert "lock-held-blocking" not in rules_of(
-            analyze_program([tree], readme=False)
+            analyze_program([tree])
         )
 
     def test_inline_disable_and_stale_suppression(self, tmp_path):
@@ -248,7 +240,7 @@ class TestLockOrder:
                     return {}
         """
         tree = write_tree(tmp_path, {"worker.py": source})
-        findings = analyze_program([tree], readme=False)
+        findings = analyze_program([tree])
         assert "lock-held-blocking" not in rules_of(findings)
         stale = finding(findings, "stale-suppression")
         assert "lock-order-cycle" in stale.message
@@ -274,7 +266,7 @@ class TestTaint:
         """
         tree = write_tree(tmp_path, {"rec.py": source})
         f = finding(
-            analyze_program([tree], readme=False), "determinism-taint"
+            analyze_program([tree]), "determinism-taint"
         )
         assert f.severity is Severity.ERROR
         assert "wall-clock time.time()" in f.message
@@ -295,7 +287,7 @@ class TestTaint:
         """
         tree = write_tree(tmp_path, {"rec.py": source})
         assert "determinism-taint" not in rules_of(
-            analyze_program([tree], readme=False)
+            analyze_program([tree])
         )
 
     def test_uuid_into_serving_decision(self, tmp_path):
@@ -309,7 +301,7 @@ class TestTaint:
         """
         tree = write_tree(tmp_path, {"dec.py": source})
         f = finding(
-            analyze_program([tree], readme=False), "determinism-taint"
+            analyze_program([tree]), "determinism-taint"
         )
         assert "uuid.uuid4()" in f.message
         assert "ServingDecision" in f.message
@@ -328,7 +320,7 @@ class TestTaint:
         """
         tree = write_tree(tmp_path, {"s.py": source})
         f = finding(
-            analyze_program([tree], readme=False), "determinism-taint"
+            analyze_program([tree]), "determinism-taint"
         )
         assert "unseeded RNG random.random()" in f.message
         assert "metric emission" in f.message
@@ -351,7 +343,7 @@ class TestTaint:
         tree = write_tree(tmp_path, {"w.py": source})
         findings = [
             f
-            for f in analyze_program([tree], readme=False)
+            for f in analyze_program([tree])
             if f.rule == "determinism-taint"
         ]
         assert len(findings) == 1
@@ -374,7 +366,7 @@ class TestTaint:
         """
         tree = write_tree(tmp_path, {"rec.py": source})
         f = finding(
-            analyze_program([tree], readme=False), "determinism-taint"
+            analyze_program([tree]), "determinism-taint"
         )
         assert f.line == 11
 
@@ -394,136 +386,11 @@ class TestTaint:
         """
         tree = write_tree(tmp_path, {"rec.py": source})
         f = finding(
-            analyze_program([tree], readme=False), "determinism-taint"
+            analyze_program([tree]), "determinism-taint"
         )
         # Reported at the call site that injects the tainted value.
         assert f.line == 11
         assert "_write()" in f.message
-
-
-# ---------------------------------------------------------------------------
-# metrics contract
-
-
-README_TABLE = """\
-    # Demo
-
-    | Metric | Type | Labels | Meaning |
-    |---|---|---|---|
-    | `requests_total` | counter | `team` | served requests |
-    | `ghost_total` | counter | — | documented but never emitted |
-"""
-
-EMITTER = """\
-    class Emitter:
-        def __init__(self, metrics):
-            self._m_req = metrics.counter(
-                "requests_total", "served requests", labels=("team",)
-            )
-            self._m_extra = metrics.counter("surprise_total", "undocumented")
-"""
-
-
-class TestMetricsContract:
-    def _run(self, tmp_path, readme=README_TABLE, emitter=EMITTER,
-             design=None):
-        tree = write_tree(tmp_path, {"emit.py": emitter})
-        readme_path = tmp_path / "README.md"
-        readme_path.write_text(textwrap.dedent(readme), encoding="utf-8")
-        design_path = None
-        if design is not None:
-            design_path = tmp_path / "DESIGN.md"
-            design_path.write_text(
-                textwrap.dedent(design), encoding="utf-8"
-            )
-        program = build_program([tree])
-        return analyze_metrics_contract(
-            program, readme_path=readme_path, design_path=design_path
-        )
-
-    def test_undocumented_metric_is_error(self, tmp_path):
-        findings = self._run(tmp_path)
-        f = finding(findings, "undocumented-metric")
-        assert f.severity is Severity.ERROR
-        assert "surprise_total" in f.message
-        assert f.path.endswith("emit.py")
-
-    def test_orphaned_doc_row_is_warn(self, tmp_path):
-        findings = self._run(tmp_path)
-        f = finding(findings, "orphaned-metric-doc")
-        assert "ghost_total" in f.message
-        assert f.path.endswith("README.md")
-        assert f.line == 6
-
-    def test_label_drift(self, tmp_path):
-        emitter = EMITTER.replace(
-            'labels=("team",)', 'labels=("team", "status")'
-        )
-        findings = self._run(tmp_path, emitter=emitter)
-        f = finding(findings, "metric-label-drift")
-        assert "requests_total" in f.message
-        assert "status" in f.message
-
-    def test_kind_drift(self, tmp_path):
-        emitter = """\
-            class Emitter:
-                def __init__(self, metrics):
-                    self._m_req = metrics.gauge(
-                        "requests_total", "served requests",
-                        labels=("team",),
-                    )
-        """
-        findings = self._run(tmp_path, emitter=emitter)
-        f = finding(findings, "metric-label-drift")
-        assert "documented as counter" in f.message
-        assert "registered as gauge" in f.message
-
-    def test_design_reference_to_missing_metric(self, tmp_path):
-        design = "The `vanished_total` counter is long gone.\n"
-        findings = self._run(tmp_path, design=design)
-        orphans = [
-            f for f in findings
-            if f.rule == "orphaned-metric-doc"
-            and f.path.endswith("DESIGN.md")
-        ]
-        assert len(orphans) == 1
-        assert "vanished_total" in orphans[0].message
-
-    def test_design_prose_identifiers_not_flagged(self, tmp_path):
-        design = "Tune `min_samples` and `n_samples` freely.\n"
-        findings = self._run(tmp_path, design=design)
-        assert not any(f.path.endswith("DESIGN.md") for f in findings)
-
-    def test_histogram_series_suffixes_fold_to_family(self, tmp_path):
-        design = (
-            "Query `requests_total_count` or `requests_total_sum`.\n"
-        )
-        findings = self._run(tmp_path, design=design)
-        assert not any(f.path.endswith("DESIGN.md") for f in findings)
-
-    def test_forwarded_registration_resolves_literal_callers(
-        self, tmp_path
-    ):
-        source = """\
-            class Builder:
-                _HELP = {"forwarded_total": "via helper"}
-
-                def __init__(self, metrics):
-                    self._metrics = metrics
-
-                def _count(self, metric, kind):
-                    self._metrics.counter(
-                        metric, self._HELP[metric], labels=("kind",)
-                    ).bind(kind=kind).inc()
-
-                def query(self):
-                    self._count("forwarded_total", "series")
-        """
-        tree = write_tree(tmp_path, {"b.py": source})
-        program = build_program([tree])
-        regs = collect_registrations(program)
-        assert [r.name for r in regs] == ["forwarded_total"]
-        assert regs[0].labels == ("kind",)
 
 
 # ---------------------------------------------------------------------------
@@ -550,19 +417,6 @@ class TestSelfCheck:
             "IncidentManager._commit_lock",
         ) in pairs
         assert not lock_order._find_cycles(edges)
-
-    def test_metric_families_match_readme_exactly(self):
-        program = build_program([SRC])
-        from repro.lint.program_analysis.metrics_contract import (
-            _parse_readme,
-        )
-
-        emitted = {r.name for r in collect_registrations(program)}
-        documented = set(_parse_readme(REPO_ROOT / "README.md"))
-        assert emitted == documented
-
-    def test_locate_doc_walks_up(self):
-        assert locate_doc([SRC], "README.md") == REPO_ROOT / "README.md"
 
 
 # ---------------------------------------------------------------------------

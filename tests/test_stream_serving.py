@@ -21,7 +21,7 @@ from repro.analysis import slo_report
 from repro.core.selector import Route
 from repro.incidents import Incident, IncidentSource, Severity
 from repro.monitoring import FakeClock, FaultPlan, FaultyStore, FlakyScout
-from repro.obs import Observability
+from repro.obs import Observability, catalog
 from repro.serving import (
     BreakerPolicy,
     IncidentManager,
@@ -311,7 +311,7 @@ class TestSLOTracker:
     def test_interval_p99_recovers_where_cumulative_cannot(self):
         obs = Observability(clock=FakeClock())
         histogram = obs.metrics.histogram(
-            "serving_handle_latency_seconds", "test"
+            catalog.SERVING_HANDLE_LATENCY_SECONDS
         )
         tracker = SLOTracker(obs.metrics, {"handle": 0.1}, min_samples=8)
         for _ in range(20):
@@ -330,7 +330,7 @@ class TestSLOTracker:
     def test_thin_intervals_return_no_verdict(self):
         obs = Observability(clock=FakeClock())
         histogram = obs.metrics.histogram(
-            "serving_handle_latency_seconds", "test"
+            catalog.SERVING_HANDLE_LATENCY_SECONDS
         )
         tracker = SLOTracker(obs.metrics, {"handle": 0.01}, min_samples=8)
         for _ in range(7):
