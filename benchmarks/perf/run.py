@@ -36,8 +36,9 @@ Metrics (all wall-clock seconds):
   accuracy loss from a "fast but wrong" change
 * ``serve_serial_ips`` / ``serve_batch_ips`` / ``serve_batch_speedup`` /
   ``serve_cache_hit_rate`` — the serve-throughput bench (an outage-storm
-  burst through a serial ``handle`` loop vs the concurrent
-  ``handle_batch`` pipeline; see ``serve_throughput.py``).  Throughput
+  burst through a ``handle`` loop vs ``handle_batch``, itself a
+  ``handle`` loop, so the speedup sits at about 1.0; see
+  ``serve_throughput.py``).  Throughput
   metrics are higher-is-better: the ``--check-against`` gate flags them
   when they fall *below* the committed numbers by more than the
   tolerance.

@@ -94,15 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for featurization/training (-1 = all cores)",
         )
 
-    def batch_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--batch-workers",
-            type=int,
-            default=1,
-            help="incidents served concurrently by handle_batch "
-            "(1 = serial, -1 = all cores)",
-        )
-
     def metrics_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--metrics",
@@ -152,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate an incident dataset")
     common(p_sim)
     p_sim.add_argument("--out", required=True, help="output JSON path")
-    batch_flags(p_sim)  # interface parity with serve (like --jobs)
     metrics_flags(p_sim)
 
     p_train = sub.add_parser("train", help="train and save the PhyNet Scout")
@@ -232,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the injected-fault schedule",
     )
-    batch_flags(p_serve)
     metrics_flags(p_serve)
 
     p_stream = sub.add_parser(
@@ -306,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the injected-fault schedule",
     )
-    batch_flags(p_stream)  # --batch-workers, like serve
     metrics_flags(p_stream)
 
     p_fleet = sub.add_parser(
@@ -690,24 +678,19 @@ def _cmd_serve(args) -> int:
     manager = IncidentManager(
         sim.registry,
         suggestion_mode=True,
-        n_jobs=args.jobs,
         scout_deadline=args.scout_deadline,
         breaker=breaker,
         retry=retry,
-        batch_workers=args.batch_workers,
     )
     _register_models(args, manager, sim, store)
     print(
         f"serving {len(incidents)} incidents through "
         f"{len(manager.registered_teams)} Scout(s): "
         f"{', '.join(manager.registered_teams)}"
-        + (f" with {args.batch_workers} batch workers"
-           if args.batch_workers != 1 else "")
         + (f"; shadowing {', '.join(manager.shadow_teams)}"
            if manager.shadow_teams else "")
     )
-    with manager:
-        manager.handle_batch(list(incidents))
+    manager.handle_batch(list(incidents))
     for incident in incidents:
         manager.resolve(incident.incident_id, incident.responsible_team)
     print()
@@ -776,9 +759,7 @@ def _cmd_stream(args) -> int:
     manager = IncidentManager(
         sim.registry,
         suggestion_mode=True,
-        n_jobs=args.jobs,
         clock=clock,
-        batch_workers=args.batch_workers,
     )
     registry = _register_models(args, manager, sim, store)
     server = StreamServer(
@@ -811,8 +792,7 @@ def _cmd_stream(args) -> int:
         f"(queue_cap={args.queue_cap}, shed={args.shed_policy})"
     )
     wall_start = time.perf_counter()
-    with manager:
-        server.run(arrivals)
+    server.run(arrivals)
     wall_seconds = time.perf_counter() - wall_start
     summary = server.summary()
     ips = summary["served"] / wall_seconds if wall_seconds > 0 else 0.0
@@ -973,7 +953,6 @@ def _cmd_promote(args) -> int:
         manager = IncidentManager(
             sim.registry,
             suggestion_mode=True,
-            n_jobs=args.jobs,
             clock=FakeClock(),
         )
         manager.register(
@@ -986,9 +965,8 @@ def _cmd_promote(args) -> int:
             f"shadow-evaluating {team} v{candidate} against active "
             f"v{active} on {len(incidents)} replayed incidents"
         )
-        with manager:
-            for incident in incidents:
-                manager.handle(incident)
+        for incident in incidents:
+            manager.handle(incident)
         report = shadow_report(
             manager.shadow_log,
             team,

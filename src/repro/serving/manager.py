@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +44,6 @@ from ..core.explain import Explanation
 from ..core.scout import Scout, ScoutPrediction
 from ..core.selector import Route
 from ..incidents.incident import Incident
-from ..ml.base import resolve_n_jobs
 from ..obs import Observability, catalog
 from ..simulation.scout_master import ScoutAnswer, ScoutMaster
 from ..simulation.teams import TeamRegistry
@@ -236,11 +234,12 @@ class ShadowObservation:
 
 @dataclass
 class _CallResult:
-    """One per-Scout call's full compute-phase output.
+    """One per-Scout call's full output.
 
     Carries the epoch stamp of the model that answered and the shadow
-    observation (when a shadow is registered for the team), so the
-    commit phase can account for everything in arrival order.
+    observation (when a shadow is registered for the team), so
+    :meth:`IncidentManager.handle` can account for everything under the
+    commit lock.
     """
 
     team: str
@@ -248,28 +247,6 @@ class _CallResult:
     outcome: ScoutCallOutcome
     epoch: int
     shadow: ShadowObservation | None = None
-
-
-@dataclass
-class _StagedDecision:
-    """One incident's computed (but not yet committed) decision.
-
-    The concurrent batch pipeline splits serving in two: the *compute*
-    phase (Scout fan-out + composition — everything expensive) runs on
-    pool workers, while the *commit* phase (stats accounting, metric
-    increments, the audit-log append) runs on the calling thread in
-    arrival order.  That split is what keeps the decision log, stats,
-    and rendered exposition byte-identical to the serial path no matter
-    how the workers interleave.
-    """
-
-    incident: Incident
-    root: object  # the incident's ``serve.handle`` span
-    results: list[_CallResult]
-    answers: list[ScoutAnswer]
-    suggested: str | None
-    compose_seconds: float
-    latency_seconds: float
 
 
 class IncidentManager:
@@ -284,11 +261,12 @@ class IncidentManager:
         ``acted`` is False — what-if analysis without routing risk.
     confidence_floor:
         Minimum confidence for a "yes" to count in composition.
-    n_jobs:
-        Accepted for compatibility and ignored: an incident's Scouts
-        are always called one after another on the serving thread
-        (see :meth:`_call_scouts`).  Batch concurrency is
-        ``batch_workers``.
+    n_jobs, batch_workers:
+        Accepted for compatibility and ignored: the manager owns no
+        threads.  :meth:`handle` calls an incident's Scouts one after
+        another on the calling thread, and :meth:`handle_batch` is a
+        :meth:`handle` loop.  Scout calls are CPU-bound Python, so
+        threads at either level cost more CPU than they overlapped.
     scout_deadline:
         Per-Scout wall-clock budget in seconds (measured on ``clock``).
         A call that finishes over budget is recorded as a ``timeout``
@@ -303,13 +281,6 @@ class IncidentManager:
         When set, threaded to each registered :class:`Scout` (via its
         ``retry_policy`` attribute) so transient monitoring-pull
         failures inside ``predict`` retry with deterministic backoff.
-    batch_workers:
-        Default concurrency for :meth:`handle_batch`: how many
-        incidents are in flight at once.  ``1`` (the default) serves
-        the batch serially; ``None`` or ``< 1`` uses all cores.  The
-        workers come from a persistent, lazily created pool — call
-        :meth:`close` (or use the manager as a context manager) to
-        shut it down.
     obs:
         The observability sink (metrics registry + tracer).  Defaults
         to a fresh :class:`~repro.obs.Observability` on the manager's
@@ -332,18 +303,15 @@ class IncidentManager:
     ) -> None:
         self.registry = registry
         self.suggestion_mode = suggestion_mode
-        self.n_jobs = n_jobs
         self.scout_deadline = scout_deadline
         self.breaker_policy = breaker
         self.retry_policy = retry
-        self.batch_workers = batch_workers
         self.obs = obs if obs is not None else Observability(clock=clock)
         self._master = ScoutMaster(registry, confidence_floor=confidence_floor)
         self._scouts: dict[str, Scout] = {}
         # Shadow candidates run side-by-side on live traffic without
-        # touching routing; their comparisons land in _shadow_log at
-        # commit time (arrival order, so batch mode stays
-        # byte-identical to serial).
+        # touching routing; their comparisons land in _shadow_log when
+        # the incident is accounted, in arrival order.
         self._shadows: dict[str, Scout] = {}
         self._shadow_log: list[ShadowObservation] = []
         # Per-team model epoch: 1 at register, bumped by swap().  The
@@ -357,25 +325,19 @@ class IncidentManager:
         self._log: list[ServingDecision] = []
         self._served_ids: set[int] = set()
         self._resolved_indices: set[int] = set()
-        # incident_id -> positions in _log, appended at commit time so
-        # resolve() is O(decisions for that incident), not O(len(_log)):
-        # the full-log scan was quadratic over a stream of resolutions.
+        # incident_id -> positions in _log, appended with the decision
+        # so resolve() is O(decisions for that incident), not
+        # O(len(_log)): the full-log scan was quadratic over a stream
+        # of resolutions.
         self._log_indices: dict[int, list[int]] = {}
         self._clock = clock
-        # The persistent worker pool (lazily created, grown on demand,
-        # shut down by close()).  It runs handle_batch's per-incident
-        # _decide() tasks only: each task calls its Scouts serially, so
-        # nothing running on the pool ever submits to it.
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_size = 0
-        self._pool_lock = threading.Lock()
-        # Serializes the commit phase (stats, metrics, log append) so
-        # concurrent batch serving produces the same accounting as the
-        # serial path.
+        # Serializes an incident's accounting (stats, metrics, log
+        # append) against swap() and unregister() on another thread,
+        # so neither ever sees it half done.
         self._commit_lock = threading.Lock()
-        # One lock per registered Scout: a Scout's predict() (and its
-        # builder memos, and its breaker) is single-threaded even when
-        # several in-flight incidents fan out to the same team.
+        # One lock per registered Scout, held across its predict():
+        # swap() and unregister() wait on it, so a call in flight
+        # finishes on the model it started with.
         self._team_locks: dict[str, threading.Lock] = {}
         metrics = self.obs.metrics
         self._m_calls = metrics.counter(catalog.SCOUT_CALLS_TOTAL)
@@ -500,8 +462,8 @@ class IncidentManager:
         self._prepare_scout(scout)
         team_lock = self._team_locks[team]
         # Same team-then-commit order unregister() uses (the serving
-        # path never holds both), so a swap can land mid-batch without
-        # deadlocking or tearing half-committed accounting.
+        # path never holds both), so a swap can land mid-incident
+        # without deadlocking or tearing half-done accounting.
         with team_lock:
             with self._commit_lock:
                 self._scouts[team] = scout
@@ -593,14 +555,15 @@ class IncidentManager:
         explicitly rather than serving stale counters for a gate-keeper
         that no longer exists.
 
-        Safe against in-flight serving: teardown waits on the team's
-        own lock (so no Scout call is mid-``predict``) and the commit
-        lock (so no staged decision is mid-accounting) before popping
-        state.  A batch that fanned out *before* the unregister may
-        still commit afterwards; :meth:`_commit` treats the vanished
-        team's stats as gone rather than KeyErroring, and
-        :meth:`_invoke_scout` degrades a call to a removed Scout to an
-        ERROR abstain — exactly how a crashed Scout is handled.
+        Safe against serving on another thread: teardown waits on the
+        team's own lock (so no Scout call is mid-``predict``) and the
+        commit lock (so no incident is mid-accounting) before popping
+        state.  An incident that called the team *before* the
+        unregister may still be accounted afterwards; :meth:`_account`
+        treats the vanished team's stats as gone rather than
+        KeyErroring, and :meth:`_invoke_scout` degrades a call to a
+        removed Scout to an ERROR abstain — exactly how a crashed Scout
+        is handled.
         """
         team_lock = self._team_locks.get(team)
         if team_lock is None:
@@ -614,10 +577,9 @@ class IncidentManager:
             self._breakers.pop(team, None)
             self._breaker_seen.pop(team, None)
             return
-        # Lock order mirrors the serving path's worst case (a team
-        # lock held while no commit lock is, and vice versa): _commit
-        # holds only the commit lock and _invoke_scout holds only the
-        # team lock, so taking team-then-commit here cannot deadlock.
+        # The serving path never holds both locks: _account holds only
+        # the commit lock and _invoke_scout only the team lock, so
+        # taking team-then-commit here cannot deadlock.
         with team_lock:
             with self._commit_lock:
                 self._scouts.pop(team, None)
@@ -633,46 +595,14 @@ class IncidentManager:
     def registered_teams(self) -> list[str]:
         return sorted(self._scouts)
 
-    # -- worker pool -------------------------------------------------------
-
-    def _ensure_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent pool, created lazily and grown on demand.
-
-        A pool that is already at least ``workers`` wide is reused
-        as-is; a narrower one is drained and replaced.  It never
-        shrinks on its own — only :meth:`close` tears it down.
-        """
-        with self._pool_lock:
-            if self._pool is not None and self._pool_size >= workers:
-                return self._pool
-            if self._pool is not None:
-                # Draining under _pool_lock is deliberate: the lock
-                # exists precisely to serialize pool replacement, and
-                # nothing else ever blocks on it (fan-out threads use
-                # the pool, not the lock).
-                self._pool.shutdown(wait=True)  # scoutlint: disable=lock-held-blocking
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="scout-serve"
-            )
-            self._pool_size = workers
-            return self._pool
+    # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent).
+        """A no-op, kept for callers that close the manager.
 
-        The manager stays usable afterwards — the next parallel call
-        lazily recreates the pool — but a long-lived deployment should
-        close it (or use the manager as a context manager) so worker
-        threads don't outlive the serving loop.
+        The manager owns no threads: :meth:`handle_batch` serves on the
+        calling thread, so there is nothing to shut down.
         """
-        with self._pool_lock:
-            if self._pool is not None:
-                # Teardown waits for in-flight work by design; the
-                # lock only guards pool identity (see _ensure_pool),
-                # so holding it across the drain cannot deadlock.
-                self._pool.shutdown(wait=True)  # scoutlint: disable=lock-held-blocking
-                self._pool = None
-                self._pool_size = 0
 
     def __enter__(self) -> "IncidentManager":
         return self
@@ -708,14 +638,12 @@ class IncidentManager:
             self._BREAKER_STATE_LEVELS[state.value], team=team
         )
 
-    def _call_one(
-        self, incident: Incident, team: str, parent=None
-    ) -> _CallResult:
+    def _call_one(self, incident: Incident, team: str) -> _CallResult:
         """One failure-isolated, traced Scout call: never raises."""
         breaker = self._breakers.get(team)
         if breaker is not None:
             self._note_breaker(team, breaker.state)
-        with self.obs.trace.span("scout.call", parent=parent, team=team) as span:
+        with self.obs.trace.span("scout.call", team=team) as span:
             result = self._invoke_scout(incident, team, breaker)
             span.attributes["status"] = result.outcome.status.value
         if breaker is not None:
@@ -725,17 +653,15 @@ class IncidentManager:
     def _invoke_scout(
         self, incident: Incident, team: str, breaker: CircuitBreaker | None
     ) -> _CallResult:
-        # One incident at a time per Scout: concurrent batch incidents
-        # fanning out to the same team would otherwise race on the
-        # Scout's builder memos and its breaker (neither is internally
-        # locked).  The memos reset at every predict, so each call's
-        # pulls and hits depend only on its own incident, whatever
-        # order the batch reaches this lock in.
+        # The team lock is what swap() and unregister() wait on, and it
+        # keeps a Scout's builder memos and breaker (neither is locked
+        # internally) single-threaded if handle() runs on several
+        # threads.
         team_lock = self._team_locks.get(team)
         if team_lock is None:
             # The team was unregistered between fan-out and this call;
             # degrade like any other failed call instead of KeyErroring
-            # the whole batch.
+            # the whole incident.
             return self._unregistered_outcome(incident, team)
         with team_lock:
             return self._invoke_scout_locked(incident, team, breaker)
@@ -748,7 +674,7 @@ class IncidentManager:
             incident.incident_id, f"{team} scout unregistered mid-flight"
         )
         # The call reached serving (unlike a breaker skip) but did no
-        # Scout work: a measured-but-zero-cost ERROR, so _commit's
+        # Scout work: a measured-but-zero-cost ERROR, so _account's
         # latency accounting stays uniform across ERROR outcomes.
         outcome = ScoutCallOutcome(
             team, CallStatus.ERROR, 0.0, error="scout unregistered mid-flight"
@@ -837,9 +763,9 @@ class IncidentManager:
         breaker-open skip shadows nothing — the primary did no work
         either), its latency is measured separately, and any exception
         or deadline overrun is recorded on the observation without
-        touching the primary's result.  The observation itself is
-        staged here and accounted in :meth:`_commit`, in arrival order,
-        so shadow serving preserves batch-mode byte-determinism.
+        touching the primary's result.  The observation rides on the
+        call's result and is logged by :meth:`_account`, in arrival
+        order.
         """
         shadow = self._shadows.get(result.team)
         if shadow is None:
@@ -892,90 +818,71 @@ class IncidentManager:
         )
         return result
 
-    def _call_scouts(self, incident: Incident, parent=None) -> list[_CallResult]:
-        """Run every registered Scout on one incident.
-
-        Returns ``(team, prediction, outcome)`` in sorted team order,
-        calling the Scouts one after another on this thread: their
-        feature builds are CPU-bound Python, so spreading one
-        incident's Scouts over threads cost more CPU than it
-        overlapped.  Failures never propagate: each call is isolated by
-        :meth:`_call_one`, which also checks the deadline once the call
-        returns.  ``parent`` is the incident's root span; a batch
-        worker cannot inherit it from context, so it is passed
-        explicitly and each call attaches its ``scout.call`` child to
-        it.
-        """
-        return [
-            self._call_one(incident, team, parent)
-            for team in sorted(self._scouts)
-        ]
-
     def handle(self, incident: Incident) -> ServingDecision:
-        """Fan an incident out to every registered Scout and compose."""
-        root = self.obs.trace.start_span(
+        """Fan an incident out to every registered Scout and compose.
+
+        The Scouts are called one after another, in sorted team order,
+        on the calling thread: their feature builds are CPU-bound
+        Python, so threads cost more CPU than they overlapped.
+        Failures never propagate: each call is isolated by
+        :meth:`_call_one`, which also checks the deadline once the call
+        returns.
+        """
+        with self.obs.trace.span(
             "serve.handle", incident_id=incident.incident_id
-        )
-        try:
-            staged = self._decide(incident, root)
-        except BaseException:
-            self.obs.trace.finish(root)
-            raise
-        return self._commit(staged)
-
-    def _decide(self, incident: Incident, root) -> _StagedDecision:
-        """The compute phase: fan out, collect answers, compose.
-
-        Safe to run on a pool worker — it touches no shared accounting
-        state (stats, metrics, log); that is :meth:`_commit`'s job.
-        ``root`` is the incident's ``serve.handle`` span, passed
-        explicitly because a worker thread can't inherit it from
-        context.
-        """
-        started = self._clock()
-        results = self._call_scouts(incident, root)
-        answers = [
-            ScoutAnswer(
-                r.team, r.prediction.responsible, r.prediction.confidence
+        ) as root:
+            started = self._clock()
+            results = [
+                self._call_one(incident, team) for team in sorted(self._scouts)
+            ]
+            answers = tuple(
+                ScoutAnswer(
+                    r.team, r.prediction.responsible, r.prediction.confidence
+                )
+                for r in results
             )
-            for r in results
-        ]
-        compose_started = self._clock()
-        with self.obs.trace.span("serve.compose", parent=root):
-            suggested = self._master.route(answers)
-        compose_seconds = self._clock() - compose_started
-        root.attributes["suggested_team"] = suggested
-        return _StagedDecision(
-            incident=incident,
-            root=root,
-            results=results,
-            answers=answers,
-            suggested=suggested,
-            compose_seconds=compose_seconds,
-            latency_seconds=self._clock() - started,
-        )
+            compose_started = self._clock()
+            with self.obs.trace.span("serve.compose"):
+                suggested = self._master.route(answers)
+            compose_seconds = self._clock() - compose_started
+            root.attributes["suggested_team"] = suggested
+            decision = ServingDecision(
+                incident_id=incident.incident_id,
+                suggested_team=suggested,
+                answers=answers,
+                predictions=tuple(r.prediction for r in results),
+                latency_seconds=self._clock() - started,
+                acted=not self.suggestion_mode and suggested is not None,
+                outcomes=tuple(r.outcome for r in results),
+                trace_id=root.trace_id,
+                stage_latencies=tuple(
+                    (f"scout.{r.team}", r.outcome.latency_seconds)
+                    for r in results
+                    if r.outcome.latency_seconds is not None
+                )
+                + (("compose", compose_seconds),),
+                model_epochs=tuple((r.team, r.epoch) for r in results),
+            )
+            self._account(results, decision)
+        return decision
 
-    def _commit(self, staged: _StagedDecision) -> ServingDecision:
-        """The commit phase: accounting, logging, and the root finish.
+    def _account(
+        self, results: list[_CallResult], decision: ServingDecision
+    ) -> None:
+        """Record one served incident: stats, metrics, logs.
 
-        Runs on the caller's thread, one staged decision at a time
-        (the commit lock guards against a concurrent ``handle`` call),
-        in arrival order — so stats, metric increments, and the audit
-        log are identical to what a serial loop would have produced.
+        Runs under the commit lock, so a :meth:`swap` or
+        :meth:`unregister` on another thread sees an incident either
+        wholly accounted or not at all.
         """
-        incident = staged.incident
-        root = staged.root
         with self._commit_lock:
-            predictions: list[ScoutPrediction] = []
-            outcomes: list[ScoutCallOutcome] = []
-            stage_latencies: list[tuple[str, float]] = []
-            for result in staged.results:
+            for result in results:
                 team = result.team
                 prediction = result.prediction
                 outcome = result.outcome
-                # None when the team was unregistered mid-batch: its
-                # stats object left with it, but the metric stream and
-                # the decision record still see the degraded call.
+                # None when the team was unregistered after its call:
+                # its stats object left with it, but the metric stream
+                # and the decision record still see the call.
                 stats = self._stats.get(team)
                 if stats is None:
                     stats = ScoutServiceStats(team=team)
@@ -1000,9 +907,6 @@ class IncidentManager:
                     stats.total_latency += outcome.latency_seconds
                 if outcome.latency_seconds is not None:
                     self._m_latency.observe(outcome.latency_seconds, team=team)
-                    stage_latencies.append(
-                        (f"scout.{team}", outcome.latency_seconds)
-                    )
                 if prediction.responsible is None:
                     stats.abstained += 1
                     if outcome.ok:
@@ -1014,14 +918,8 @@ class IncidentManager:
                 breaker = self._breakers.get(team)
                 if breaker is not None:
                     stats.breaker_state = breaker.state.value
-                predictions.append(prediction)
-                outcomes.append(outcome)
                 obs = result.shadow
                 if obs is not None:
-                    # Shadow accounting happens here, not at observe
-                    # time: the commit lock + arrival order keep the
-                    # shadow log and its metric stream byte-identical
-                    # between serial and batch serving.
                     self._shadow_log.append(obs)
                     self._m_shadow_calls.inc(
                         1, team=team, status=obs.shadow_status.value
@@ -1031,83 +929,28 @@ class IncidentManager:
                     )
                     if obs.diff:
                         self._m_shadow_diffs.inc(1, team=team)
-            stage_latencies.append(("compose", staged.compose_seconds))
-            decision = ServingDecision(
-                incident_id=incident.incident_id,
-                suggested_team=staged.suggested,
-                answers=tuple(staged.answers),
-                predictions=tuple(predictions),
-                latency_seconds=staged.latency_seconds,
-                acted=not self.suggestion_mode and staged.suggested is not None,
-                outcomes=tuple(outcomes),
-                trace_id=root.trace_id,
-                stage_latencies=tuple(stage_latencies),
-                model_epochs=tuple(
-                    (r.team, r.epoch) for r in staged.results
-                ),
-            )
             self._m_incidents.inc()
-            if staged.suggested is not None:
+            if decision.suggested_team is not None:
                 self._m_suggestions.inc()
             if decision.degraded:
                 self._m_degraded.inc()
             self._m_handle_latency.observe(decision.latency_seconds)
             self._log.append(decision)
-            self._log_indices.setdefault(incident.incident_id, []).append(
+            self._log_indices.setdefault(decision.incident_id, []).append(
                 len(self._log) - 1
             )
-            self._served_ids.add(incident.incident_id)
-        self.obs.trace.finish(root)
-        return decision
+            self._served_ids.add(decision.incident_id)
 
-    def handle_batch(
-        self,
-        incidents: list[Incident],
-        workers: int | None = None,
-    ) -> list[ServingDecision]:
-        """Serve a burst of incidents, concurrently, in arrival order.
+    def handle_batch(self, incidents: list[Incident]) -> list[ServingDecision]:
+        """Serve a burst of incidents in arrival order: a :meth:`handle` loop.
 
-        ``workers`` overrides the manager's ``batch_workers`` for this
-        call; with one worker (the default manager setting) the batch
-        degenerates to a serial ``handle`` loop.  With more, incidents
-        fan out across the persistent pool — compute runs concurrently,
-        but each incident's accounting *commits* on this thread in
-        input order, so the decision list, the audit log, the per-team
-        stats, and the rendered metrics exposition are byte-identical
-        to the serial path (under a fake clock; with a real clock only
-        the measured latencies differ).  Per-incident ``serve.handle``
-        root spans are pre-created in input order, so trace ids also
-        match the serial loop; there is deliberately no batch-level
-        span or counter, for the same reason.  Breaker bookkeeping is
-        only order-deterministic for healthy runs — injected faults
-        under concurrency may trip breakers at different points than a
-        serial run would.
+        The burst is served on the calling thread, one incident after
+        another, so the decisions, the audit log, the per-team stats,
+        every breaker transition and the rendered exposition are those
+        of the same ``handle`` calls.  There is deliberately no
+        batch-level span or counter.
         """
-        incidents = list(incidents)
-        n_workers = resolve_n_jobs(
-            self.batch_workers if workers is None else workers
-        )
-        n_workers = min(n_workers, max(1, len(incidents)))
-        if n_workers <= 1 or len(incidents) <= 1:
-            return [self.handle(incident) for incident in incidents]
-        roots = [
-            self.obs.trace.start_span(
-                "serve.handle", incident_id=incident.incident_id
-            )
-            for incident in incidents
-        ]
-        pool = self._ensure_pool(n_workers)
-        futures = [
-            pool.submit(self._decide, incident, root)
-            for incident, root in zip(incidents, roots)
-        ]
-        try:
-            return [self._commit(future.result()) for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
-            for root in roots:
-                self.obs.trace.finish(root)  # idempotent — no-op if committed
+        return [self.handle(incident) for incident in incidents]
 
     # -- feedback ------------------------------------------------------------------
 

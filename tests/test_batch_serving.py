@@ -1,10 +1,10 @@
-"""The batch-serving pipeline and cached-vs-live parity contract.
+"""The batch-serving contract and cached-vs-live parity.
 
 Tentpole acceptance: the same incidents through a serial ``handle``
-loop and through a concurrent ``handle_batch`` (under a fake clock)
-must produce identical decision logs, identical per-team stats, and a
-byte-identical metrics exposition — concurrency is a throughput knob,
-never a semantics knob.  Satellites: the cached prediction path must
+loop and through ``handle_batch`` (under a fake clock) must produce
+identical decision logs, identical per-team stats, and a byte-identical
+metrics exposition — healthy or faulted, since the batch is served on
+the calling thread.  Satellites: the cached prediction path must
 return exactly what live serving would log, what-if accounting must
 score a re-served incident once, and an all-abstain evaluation must
 yield a well-defined zero report.
@@ -18,8 +18,8 @@ from repro.core.cpd_plus import CPDVerdict
 from repro.core.scout import ScoutPrediction
 from repro.core.selector import Route
 from repro.datacenter import ComponentKind
-from repro.monitoring import FakeClock, FlakyScout
-from repro.serving import CallStatus, IncidentManager
+from repro.monitoring import FakeClock, FaultPlan, FaultyStore, FlakyScout
+from repro.serving import BreakerPolicy, CallStatus, IncidentManager
 from repro.simulation import default_teams
 from repro.simulation.teams import DNS, PHYNET, STORAGE
 
@@ -73,21 +73,18 @@ class TestBatchDeterminism:
 
         serial = _mixed_manager(FakeClock())
         serial_decisions = [serial.handle(i) for i in stream]
-        serial_exposition = serial.obs.render()
 
-        for workers in (1, 4):
-            with _mixed_manager(FakeClock(), batch_workers=workers) as manager:
-                decisions = manager.handle_batch(stream)
-                assert decisions == serial_decisions
-                assert manager.log == serial.log
-                for team in manager.registered_teams:
-                    assert manager.stats(team) == serial.stats(team)
-                assert manager.obs.render() == serial_exposition
+        manager = _mixed_manager(FakeClock())
+        assert manager.handle_batch(stream) == serial_decisions
+        assert manager.log == serial.log
+        for team in manager.registered_teams:
+            assert manager.stats(team) == serial.stats(team)
+        assert manager.obs.render() == serial.obs.render()
 
     def test_batch_decisions_come_back_in_input_order(self, incidents):
         stream = list(incidents)[:10]
-        with _mixed_manager(FakeClock(), batch_workers=4) as manager:
-            decisions = manager.handle_batch(stream)
+        manager = _mixed_manager(FakeClock())
+        decisions = manager.handle_batch(stream)
         assert [d.incident_id for d in decisions] == [
             i.incident_id for i in stream
         ]
@@ -95,21 +92,13 @@ class TestBatchDeterminism:
             i.incident_id for i in stream
         ]
 
-    def test_workers_override_beats_manager_default(self, incidents):
-        manager = _mixed_manager(FakeClock())  # batch_workers defaults to 1
-        try:
-            manager.handle_batch(list(incidents)[:4], workers=4)
-            assert manager._pool is not None  # the override went parallel
-        finally:
-            manager.close()
-
     def test_real_scout_batch_matches_serial(self, scout, dataset):
         """The full pipeline (real Scout) stays deterministic.
 
         An outage-storm burst (shared timestamp, so every copy pulls
         the same monitoring windows) through serial ``handle`` vs
-        concurrent ``handle_batch``: identical decisions and
-        exposition bytes, query and hit counters included.
+        ``handle_batch``: identical decisions and exposition bytes,
+        query and hit counters included.
         """
         usable = dataset.usable()
         burst_at = max(ex.incident.created_at for ex in usable.examples[:6])
@@ -127,64 +116,133 @@ class TestBatchDeterminism:
             assert queries is not None and queries.total() > 0
 
             _reset_scout(scout)
-            with IncidentManager(
-                default_teams(), clock=FakeClock(), batch_workers=4
-            ) as manager:
-                manager.register(scout)
-                decisions = manager.handle_batch(burst)
-                assert decisions == serial_decisions
-                assert manager.obs.render() == serial_exposition
+            manager = IncidentManager(default_teams(), clock=FakeClock())
+            manager.register(scout)
+            assert manager.handle_batch(burst) == serial_decisions
+            assert manager.obs.render() == serial_exposition
         finally:
             _reset_scout(scout)
 
+    def test_faulted_burst_matches_serial_loop_byte_identically(
+        self, scout, incidents
+    ):
+        """Injected faults trip breakers at the same incidents either way.
 
-# -- tentpole: pool lifecycle ------------------------------------------------
+        The real PhyNet Scout pulls through a store failing 30% of its
+        queries, Storage answers slowly enough to move the clock past
+        the breaker cool-down, and DNS overruns its deadline on a
+        script.  Both breakers open and probe half-open, and DNS's
+        closes again, at the same incidents in both runs.
+        """
+        stream = list(incidents)[:24]
+        healthy_store = scout.builder.store
+
+        def run(batch: bool):
+            clock = FakeClock()
+            _reset_scout(scout)
+            scout.builder.store = FaultyStore(
+                healthy_store, FaultPlan(seed=1, error_rate=0.3)
+            )
+            manager = IncidentManager(
+                default_teams(),
+                clock=clock,
+                scout_deadline=1.0,
+                breaker=BreakerPolicy(
+                    failure_threshold=2, cooldown_seconds=3.0
+                ),
+            )
+            manager.register(scout)
+            manager.register(
+                FlakyScout(
+                    STORAGE, default="slow", responsible=False,
+                    clock=clock, slow_seconds=0.5,
+                )
+            )
+            manager.register(
+                FlakyScout(
+                    DNS, script=("ok", "slow", "slow", "ok", "slow"),
+                    responsible=None, clock=clock, slow_seconds=2.0,
+                )
+            )
+            if batch:
+                decisions = manager.handle_batch(stream)
+            else:
+                decisions = [manager.handle(i) for i in stream]
+            stats = {t: manager.stats(t) for t in manager.registered_teams}
+            return (
+                decisions,
+                manager.log,
+                stats,
+                manager.obs.metrics.get(
+                    "scout_breaker_transitions_total"
+                ).samples(),
+                manager.obs.render(),
+            )
+
+        try:
+            serial = run(batch=False)
+            batch = run(batch=True)
+        finally:
+            scout.builder.store = healthy_store
+            _reset_scout(scout)
+
+        decisions, log, stats, transitions, exposition = batch
+        assert decisions == serial[0]
+        assert log == serial[1]  # outcomes and model epochs included
+        assert stats == serial[2]
+        assert transitions == serial[3]
+        assert exposition == serial[4]
+        # The drill really faulted: PhyNet and DNS both tripped, and a
+        # breaker probed half-open.
+        tripped = {
+            labels["team"]
+            for labels, _ in transitions
+            if labels["to_state"] == "open"
+        }
+        assert {PHYNET, DNS} <= tripped
+        assert any(
+            labels["to_state"] == "half_open" for labels, _ in transitions
+        )
+        assert any(
+            o.status is CallStatus.ERROR for d in log for o in d.outcomes
+        )
+
+
+# -- serving owns no threads -------------------------------------------------
 
 
 class TestPoolLifecycle:
-    def test_pool_is_persistent_across_batches(self, incidents):
-        manager = _mixed_manager(FakeClock(), batch_workers=2)
-        try:
-            manager.handle_batch(list(incidents)[:3])
-            first_pool = manager._pool
-            assert first_pool is not None
-            manager.handle_batch(list(incidents)[3:6])
-            assert manager._pool is first_pool  # reused, not rebuilt
-        finally:
-            manager.close()
-
-    def test_close_is_idempotent_and_pool_recreates_lazily(self, incidents):
-        manager = _mixed_manager(FakeClock(), batch_workers=2)
-        manager.handle_batch(list(incidents)[:2])
-        manager.close()
-        assert manager._pool is None
-        manager.close()  # second close is a no-op
-        decisions = manager.handle_batch(list(incidents)[:2])
-        assert len(decisions) == 2 and manager._pool is not None
-        manager.close()
-
-    def test_context_manager_shuts_the_pool_down(self, incidents):
-        with _mixed_manager(FakeClock(), batch_workers=2) as manager:
-            manager.handle_batch(list(incidents)[:2])
-            assert manager._pool is not None
-        assert manager._pool is None
+    """``handle``/``handle_batch`` call every Scout on the calling thread."""
 
     def test_handle_calls_scouts_serially_without_a_pool(self, incidents):
         calls: list[tuple[int, str, str]] = []
         manager = _recording_manager(FakeClock(), calls, n_jobs=3)
         stream = list(incidents)[:2]
-        try:
-            for incident in stream:
-                manager.handle(incident)
-            assert manager._pool is None
-            here = threading.current_thread().name
-            assert calls == [
-                (incident.incident_id, team, here)
-                for incident in stream
-                for team in _TEAMS
-            ]
-        finally:
-            manager.close()
+        for incident in stream:
+            manager.handle(incident)
+        here = threading.current_thread().name
+        assert calls == [
+            (incident.incident_id, team, here)
+            for incident in stream
+            for team in _TEAMS
+        ]
+
+    def test_batch_starts_no_thread_and_ignores_batch_workers(
+        self, incidents, monkeypatch
+    ):
+        stream = list(incidents)[:6]
+        default = _mixed_manager(FakeClock())
+        default_decisions = default.handle_batch(stream)
+
+        def refuse(thread):
+            raise AssertionError(f"serving started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        manager = _mixed_manager(FakeClock(), n_jobs=4, batch_workers=4)
+        with manager:
+            assert manager.handle_batch(stream) == default_decisions
+        assert manager.log == default.log
+        assert manager.obs.render() == default.obs.render()
 
     def test_slow_scout_times_out_while_peers_answer(self, incidents):
         clock = FakeClock()
@@ -205,35 +263,6 @@ class TestPoolLifecycle:
         }
         answers = {a.team: a.responsible for a in decision.answers}
         assert answers == {PHYNET: None, STORAGE: False, DNS: True}
-        assert manager._pool is None
-
-    def test_batch_reuses_one_pool_and_each_incident_stays_on_a_worker(
-        self, incidents
-    ):
-        calls: list[tuple[int, str, str]] = []
-        manager = _recording_manager(
-            FakeClock(), calls, n_jobs=3, batch_workers=2
-        )
-        stream = list(incidents)[:6]
-        try:
-            manager.handle_batch(stream[:3])
-            pool = manager._pool
-            assert pool is not None
-            manager.handle_batch(stream[3:])
-            assert manager._pool is pool
-        finally:
-            manager.close()
-        # Each incident's Scouts ran in team order on one pool worker.
-        for incident in stream:
-            mine = [c for c in calls if c[0] == incident.incident_id]
-            assert [team for _, team, _ in mine] == _TEAMS
-            assert len({name for _, _, name in mine}) == 1
-            assert mine[0][2].startswith("scout-serve")
-
-    def test_serial_manager_never_creates_a_pool(self, incidents):
-        manager = _mixed_manager(FakeClock())  # n_jobs=1, batch_workers=1
-        manager.handle_batch(list(incidents)[:3])
-        assert manager._pool is None
 
 
 # -- the per-incident monitoring memos ---------------------------------------

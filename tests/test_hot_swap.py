@@ -234,18 +234,22 @@ class TestShadow:
         )
 
     def test_batch_and_serial_shadow_logs_match(self):
-        def run(workers: int):
-            manager = _manager(batch_workers=workers)
+        def run(batch: bool):
+            manager = _manager()
             manager.register_shadow(FlakyScout(PHYNET, responsible=True))
-            with manager:
-                manager.handle_batch([_mk(i) for i in range(8)])
+            incidents = [_mk(i) for i in range(8)]
+            if batch:
+                manager.handle_batch(incidents)
+            else:
+                for incident in incidents:
+                    manager.handle(incident)
             return [
                 (o.incident_id, o.team, o.agrees, o.diff)
                 for o in manager.shadow_log
             ], manager.obs.render()
 
-        log_serial, text_serial = run(1)
-        log_batch, text_batch = run(4)
+        log_serial, text_serial = run(batch=False)
+        log_batch, text_batch = run(batch=True)
         assert log_serial == log_batch
         assert text_serial == text_batch
 

@@ -9,7 +9,7 @@ Two fixes, each with a failing-before/passing-after regression test:
   the access pattern structurally (one log read per resolve) rather
   than with a flaky timing assertion.
 * ``unregister()`` used to pop ``_stats``/``_team_locks`` out from
-  under an in-flight batch, KeyErroring in ``_commit`` or
+  under an in-flight incident, KeyErroring in its accounting or in
   ``_invoke_scout``.  Teardown now waits on the team and commit locks,
   and the serving path degrades calls to a vanished team to ERROR
   abstains.
@@ -135,23 +135,39 @@ class _GateScout:
         return self.inner.predict(incident)
 
 
+class _UnregisteringScout:
+    """Wraps a FlakyScout; predict first unregisters another team."""
+
+    def __init__(self, inner, manager, victim: str):
+        self.inner = inner
+        self.team = inner.team
+        self.manager = manager
+        self.victim = victim
+
+    def predict(self, incident):
+        self.manager.unregister(self.victim)
+        return self.inner.predict(incident)
+
+
 class TestUnregisterRace:
     def test_commit_survives_team_unregistered_after_fanout(self):
-        """The exact mid-batch interleaving: _decide computed results
-        for a team, then the team was unregistered before _commit."""
-        manager = _flaky_manager()
-        incident = _mk(1)
-        root = manager.obs.trace.start_span(
-            "serve.handle", incident_id=incident.incident_id
+        """A team unregistered after its call but before the incident
+        is accounted: the last Scout of the fan-out (Storage) tears
+        down an earlier one (DNS) from inside its predict."""
+        manager = IncidentManager(default_teams(), clock=FakeClock())
+        manager.register(FlakyScout(DNS, responsible=None))
+        manager.register(FlakyScout(PHYNET, responsible=True))
+        manager.register(
+            _UnregisteringScout(
+                FlakyScout(STORAGE, responsible=False), manager, DNS
+            )
         )
-        staged = manager._decide(incident, root)
-        manager.unregister(STORAGE)
-        decision = manager._commit(staged)  # KeyError before the fix
+        decision = manager.handle(_mk(1))  # KeyError before the fix
         assert decision.incident_id == 1
         assert manager.log[-1] == decision
         by_team = {o.team: o for o in decision.outcomes}
-        assert by_team[STORAGE].status is CallStatus.OK  # computed pre-pop
-        assert STORAGE not in manager._stats
+        assert by_team[DNS].status is CallStatus.OK  # called pre-pop
+        assert DNS not in manager._stats
 
     def test_call_to_unregistered_team_degrades_to_error_abstain(self):
         manager = _flaky_manager()

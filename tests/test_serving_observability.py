@@ -115,9 +115,9 @@ def test_handle_batch_traces_match_a_serial_handle_loop(incidents):
     """Batch serving must be trace-indistinguishable from serial.
 
     There is deliberately no batch-level span: each incident gets its
-    own ``serve.handle`` root (pre-created in input order), so decision
-    trace ids — and everything keyed on them — are identical whether
-    the burst went through ``handle_batch`` or a ``handle`` loop.
+    own ``serve.handle`` root, so the finished spans — trace and span
+    ids, parents, names — are identical whether the burst went through
+    ``handle_batch`` or a ``handle`` loop.
     """
     stream = list(incidents)[:3]
 
@@ -125,21 +125,21 @@ def test_handle_batch_traces_match_a_serial_handle_loop(incidents):
     serial.register(FlakyScout(PHYNET))
     serial_ids = [serial.handle(i).trace_id for i in stream]
 
-    for workers in (1, 4):
-        with _manager(batch_workers=workers) as manager:
-            manager.register(FlakyScout(PHYNET))
-            decisions = manager.handle_batch(stream)
-            assert [d.trace_id for d in decisions] == serial_ids
-            roots = [
-                s
-                for s in manager.obs.trace.finished_spans
-                if s.name == "serve.handle"
-            ]
-            assert len(roots) == 3
-            assert all(
-                s.name != "serve.handle_batch"
-                for s in manager.obs.trace.finished_spans
-            )
+    manager = _manager()
+    manager.register(FlakyScout(PHYNET))
+    decisions = manager.handle_batch(stream)
+    assert [d.trace_id for d in decisions] == serial_ids
+    assert manager.obs.trace.finished_spans == serial.obs.trace.finished_spans
+    roots = [
+        s
+        for s in manager.obs.trace.finished_spans
+        if s.name == "serve.handle"
+    ]
+    assert len(roots) == 3
+    assert all(
+        s.name != "serve.handle_batch"
+        for s in manager.obs.trace.finished_spans
+    )
 
 
 # -- satellite: latency accounting ------------------------------------------
