@@ -87,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--incidents", type=int, default=500, help="incident count"
         )
+
+    def jobs_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs",
             type=int,
@@ -147,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train and save the PhyNet Scout")
     common(p_train)
+    jobs_flag(p_train)
     p_train.add_argument("--out", required=True, help="output model path")
     p_train.add_argument(
         "--team",
@@ -158,6 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a saved Scout")
     common(p_eval)
+    jobs_flag(p_eval)
     p_eval.add_argument("--model", required=True, help="saved Scout path")
 
     p_route = sub.add_parser("route", help="route one ad-hoc incident")
@@ -625,27 +629,39 @@ def _register_models(args, manager, sim, store):
     return registry
 
 
-def _write_decision_log(path: str, manager: IncidentManager) -> None:
-    """One sorted-key JSON line per decision: the replay-comparable
-    record (ids, suggestions, statuses, epochs — no wall latencies)."""
-    import json
+def _manager_records(manager: IncidentManager) -> list[dict]:
+    """The replay-comparable record of each decision (ids,
+    suggestions, statuses, epochs — no wall latencies)."""
+    return [
+        {
+            "incident_id": decision.incident_id,
+            "suggested_team": decision.suggested_team,
+            "acted": decision.acted,
+            "answers": {a.team: a.responsible for a in decision.answers},
+            "statuses": {
+                o.team: o.status.value for o in decision.outcomes
+            },
+            "model_epochs": dict(decision.model_epochs),
+        }
+        for decision in manager.log
+    ]
 
-    with open(path, "w") as handle:
-        for decision in manager.log:
-            record = {
-                "incident_id": decision.incident_id,
-                "suggested_team": decision.suggested_team,
-                "acted": decision.acted,
-                "answers": {
-                    a.team: a.responsible for a in decision.answers
-                },
-                "statuses": {
-                    o.team: o.status.value for o in decision.outcomes
-                },
-                "model_epochs": dict(decision.model_epochs),
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"wrote {len(manager.log)} decisions to {path}")
+
+def _write_decision_log(path: str, records: list[dict]) -> None:
+    """Write one sorted-key JSON line per decision, atomically.
+
+    The whole log is serialized first, written to a temp file beside
+    ``path`` and renamed over it, so a failure at any point leaves the
+    previous log intact, never a torn one.
+    """
+    import json
+    from pathlib import Path
+
+    from .core.persistence import _replace_bytes
+
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    _replace_bytes(Path(path), text.encode("utf-8"))
+    print(f"wrote {len(records)} decisions to {path}")
 
 
 def _cmd_serve(args) -> int:
@@ -722,7 +738,7 @@ def _cmd_serve(args) -> int:
             print()
             print(shadow_report(manager.shadow_log, team).render())
     if args.decision_log:
-        _write_decision_log(args.decision_log, manager)
+        _write_decision_log(args.decision_log, _manager_records(manager))
     _emit_metrics(args, manager.obs)
     return 0
 
@@ -816,14 +832,12 @@ def _cmd_stream(args) -> int:
     print()
     print(slo_report(manager.obs.metrics, budgets).render())
     if args.decision_log:
-        _write_decision_log(args.decision_log, manager)
+        _write_decision_log(args.decision_log, _manager_records(manager))
     _emit_metrics(args, manager.obs)
     return 0
 
 
 def _cmd_fleet(args) -> int:
-    import json
-
     from .monitoring import FakeClock
     from .serving import FleetServer, build_fleet_roster
 
@@ -877,13 +891,7 @@ def _cmd_fleet(args) -> int:
             f"{summary['breakers_open']} breakers open"
         )
         if args.decision_log:
-            with open(args.decision_log, "w") as handle:
-                for record in server.decision_records():
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-            print(
-                f"wrote {len(server.decisions)} decisions to "
-                f"{args.decision_log}"
-            )
+            _write_decision_log(args.decision_log, server.decision_records())
         _emit_metrics(args, server.obs)
     return 0
 

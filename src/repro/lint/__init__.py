@@ -1,15 +1,17 @@
 """scoutlint: static analysis for Scout configs and pipeline invariants.
 
-Three analyzers share one finding model:
+Two analyzers share one finding model:
 
 * :mod:`repro.lint.config_lint` — semantic checks over Scout DSL text
   or :class:`~repro.config.spec.ScoutConfig` objects, optionally
   against a monitoring store and a persisted model bundle.
 * :mod:`repro.lint.code_lint` — AST checks of the determinism and
   picklability invariants the pipeline relies on.
-* :mod:`repro.lint.program_analysis` — whole-program passes over a
-  call graph (``--program``): lock-order cycles and determinism taint
-  into decision logs/metrics.
+
+The serving manager's lock order and the byte-determinism of decision
+logs and metrics are not lint rules: ranked locks
+(:mod:`repro.serving.locks`) check the first on every acquisition, and
+``tests/test_determinism.py`` checks the second across processes.
 
 Run via ``repro lint`` or ``python -m repro.lint``; call
 :func:`lint_config` / :func:`lint_config_text` / :func:`lint_paths`
@@ -21,7 +23,6 @@ that raises :class:`LintError` on ERROR findings.
 
 from .code_lint import lint_file, lint_paths, lint_source
 from .config_lint import default_store, lint_config, lint_config_text, lint_model
-from .program_analysis import analyze_program, build_program
 from .findings import (
     Allowlist,
     Finding,
@@ -43,8 +44,6 @@ __all__ = [
     "RULES",
     "Rule",
     "Severity",
-    "analyze_program",
-    "build_program",
     "default_store",
     "exit_code",
     "lint_config",

@@ -13,12 +13,9 @@ Input selection:
   line numbers (how the examples keep their configs checkable).
 * ``--code PATH`` — run the codebase invariant checker over files or
   directories (repeatable).
-* ``--program PATH`` — run the whole-program analyzer (lock ordering,
-  determinism taint) over a tree (repeatable; defaults to
-  ``src/repro`` when given no path).
 * ``--changed [REF]`` — lint only files changed versus a git ref
-  (default ``HEAD``): changed ``.py`` files go through the code pass
-  and, with ``--program``, one whole-program pass over the tree.
+  (default ``HEAD``): changed ``.py`` files go through the code and
+  inline-config passes.
 * ``--model FILE`` — schema-drift check of a persisted Scout bundle
   against the selected config (``--phynet`` or the first ``--config``).
 
@@ -69,13 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--code", action="append", default=[], metavar="PATH",
         help="run the codebase invariant checker over files/directories "
         "(repeatable)",
-    )
-    parser.add_argument(
-        "--program", action="append", nargs="?", const="", default=[],
-        metavar="PATH",
-        help="run the whole-program analyzer (lock-order cycles, "
-        "determinism taint) over a tree "
-        "(repeatable; bare --program means src/repro)",
     )
     parser.add_argument(
         "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
@@ -187,12 +177,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (
         args.config or args.phynet or args.teams
-        or args.inline_configs or args.code or args.program
-        or args.changed or args.model
+        or args.inline_configs or args.code or args.changed or args.model
     ):
         parser.error(
             "nothing to lint: pass --config/--phynet/--teams/"
-            "--inline-configs/--code/--program/--changed/--model"
+            "--inline-configs/--code/--changed/--model"
         )
 
     store = None if args.no_store else default_store()
@@ -246,15 +235,6 @@ def main(argv=None) -> int:
 
     if code_paths:
         findings.extend(lint_paths(code_paths))
-
-    if args.program:
-        from .program_analysis import analyze_program
-
-        program_paths = [entry or "src/repro" for entry in args.program]
-        missing = [p for p in program_paths if not Path(p).exists()]
-        if missing:
-            parser.error(f"--program path not found: {missing[0]}")
-        findings.extend(analyze_program(program_paths))
 
     if args.model:
         if drift_config is None or store is None:

@@ -11,9 +11,9 @@ picklability invariants the pipeline depends on:
 * ``unseeded-random`` — no module-global RNG use (``random.random()``,
   ``np.random.rand()``); randomness must flow through an explicit seed
   or ``np.random.default_rng(seed)`` / ``Generator``.
-* ``lock-getstate`` — a class that stores a ``threading`` lock must
-  define ``__getstate__`` so instances stay picklable (process-pool
-  training, model persistence).
+* ``lock-getstate`` — a class that stores a ``threading`` lock (or a
+  serving ``RankedLock``) must define ``__getstate__`` so instances
+  stay picklable (process-pool training, model persistence).
 * ``no-print`` — library code reports through return values, logging,
   or the metrics registry; ``print`` is reserved for CLI entry points.
 * ``hot-path-recompute`` — no full-window order statistics
@@ -90,6 +90,9 @@ _LOCK_FACTORIES = {
     "threading.Condition",
     "threading.Semaphore",
     "threading.BoundedSemaphore",
+    # The serving manager's ranked lock (serving/locks.py), seen by its
+    # bare name because relative imports are not normalized.
+    "RankedLock",
 }
 
 # Module basenames that own wall-clock access (real time is their job)

@@ -129,17 +129,6 @@ RULES: dict[str, Rule] = {
              "in a per-incident hot-path module", "code"),
         Rule("stale-suppression", Severity.INFO,
              "a scoutlint disable comment that suppresses nothing", "code"),
-        # -- whole-program analyzer (repro.lint.program_analysis) -----------
-        Rule("lock-order-cycle", Severity.ERROR,
-             "two locks are acquired in opposite orders on different "
-             "call paths (potential deadlock)", "program"),
-        Rule("lock-held-blocking", Severity.WARN,
-             "a blocking call (sleep/Future.result/queue.get/pool "
-             "shutdown) runs while a lock is held", "program"),
-        Rule("determinism-taint", Severity.ERROR,
-             "wall-clock/unseeded-RNG/uuid/set-iteration value flows "
-             "into a determinism sink (decision log, metric emission, "
-             "ServingDecision field)", "program"),
     ]
 }
 
@@ -344,28 +333,20 @@ def stale_suppressions(
 
     Judged per analysis pass: a token is only reported stale by the
     pass whose rule *scope* owns it (``scopes``), so a
-    ``disable=lock-held-blocking`` next to a program-analysis finding
-    is not declared dead by the per-file code checker that never runs
-    that rule.  Tokens naming no catalog rule at all are dead by
-    construction and judged by every pass in ``scopes`` that sees them
-    — except the program pass, which shares Python comments with the
-    code pass and would double-report them.  ``offset`` shifts reported
-    lines (inline DSL configs embedded in ``.py`` files).
+    ``disable=dead-let`` inside an inline DSL config is not declared
+    dead by the per-file code checker that never runs that rule.
+    Tokens naming no catalog rule at all (and ``all``) are dead by
+    construction and judged by every pass that sees them.  ``offset``
+    shifts reported lines (inline DSL configs embedded in ``.py``
+    files).
     """
     findings = []
-    judge_unknown = "code" in scopes or "config" in scopes
     for line in sorted(disables):
         for token in sorted(disables[line]):
             if (line, token) in used:
                 continue
             rule = RULES.get(token)
-            if rule is None and token != "all":
-                if not judge_unknown:
-                    continue
-            elif token == "all":
-                if not judge_unknown:
-                    continue
-            elif rule.scope not in scopes:
+            if rule is not None and rule.scope not in scopes:
                 continue
             findings.append(
                 make_finding(

@@ -34,7 +34,6 @@ builders) inherit the manager's observability, so one
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +47,7 @@ from ..obs import Observability, catalog
 from ..simulation.scout_master import ScoutAnswer, ScoutMaster
 from ..simulation.teams import TeamRegistry
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
+from .locks import RankedLock
 from .retry import RetryPolicy
 
 __all__ = [
@@ -249,6 +249,12 @@ class _CallResult:
     shadow: ShadowObservation | None = None
 
 
+# Lock ranks (see .locks): a thread holding a team lock may take the
+# commit lock, never the reverse, and never two team locks at once.
+_TEAM_RANK = 1
+_COMMIT_RANK = 2
+
+
 class IncidentManager:
     """Registers Scouts and serves routing suggestions for incidents.
 
@@ -334,11 +340,11 @@ class IncidentManager:
         # Serializes an incident's accounting (stats, metrics, log
         # append) against swap() and unregister() on another thread,
         # so neither ever sees it half done.
-        self._commit_lock = threading.Lock()
+        self._commit_lock = RankedLock("commit lock", _COMMIT_RANK)
         # One lock per registered Scout, held across its predict():
         # swap() and unregister() wait on it, so a call in flight
         # finishes on the model it started with.
-        self._team_locks: dict[str, threading.Lock] = {}
+        self._team_locks: dict[str, RankedLock] = {}
         metrics = self.obs.metrics
         self._m_calls = metrics.counter(catalog.SCOUT_CALLS_TOTAL)
         self._m_latency = metrics.histogram(catalog.SCOUT_CALL_LATENCY_SECONDS)
@@ -392,7 +398,9 @@ class IncidentManager:
             self._lint_preflight(scout)
         self._prepare_scout(scout)
         self._scouts[scout.team] = scout
-        self._team_locks[scout.team] = threading.Lock()
+        self._team_locks[scout.team] = RankedLock(
+            f"{scout.team} team lock", _TEAM_RANK
+        )
         self._epochs[scout.team] = 1
         self._m_model_epoch.set(1, team=scout.team)
         self._stats[scout.team] = ScoutServiceStats(team=scout.team)
@@ -461,9 +469,10 @@ class IncidentManager:
             self._lint_preflight(scout)
         self._prepare_scout(scout)
         team_lock = self._team_locks[team]
-        # Same team-then-commit order unregister() uses (the serving
-        # path never holds both), so a swap can land mid-incident
-        # without deadlocking or tearing half-done accounting.
+        # The one team-then-commit order the lock ranks allow (the
+        # serving path never holds both), so a swap can land
+        # mid-incident without deadlocking or tearing half-done
+        # accounting.
         with team_lock:
             with self._commit_lock:
                 self._scouts[team] = scout
@@ -578,8 +587,9 @@ class IncidentManager:
             self._breaker_seen.pop(team, None)
             return
         # The serving path never holds both locks: _account holds only
-        # the commit lock and _invoke_scout only the team lock, so
-        # taking team-then-commit here cannot deadlock.
+        # the commit lock and _invoke_scout only the team lock, and the
+        # lock ranks allow only team-then-commit, so this cannot
+        # deadlock.
         with team_lock:
             with self._commit_lock:
                 self._scouts.pop(team, None)

@@ -43,6 +43,48 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_jobs_is_a_train_and_evaluate_flag():
+    parser = build_parser()
+    assert parser.parse_args(["train", "--jobs", "2", "--out", "m"]).jobs == 2
+    assert parser.parse_args(
+        ["evaluate", "--jobs", "2", "--model", "m"]
+    ).jobs == 2
+
+
+def test_serve_rejects_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_decision_log_write_is_atomic(tmp_path, monkeypatch, capsys):
+    """A write that fails before the rename leaves the old log as is."""
+    import os
+
+    from repro.cli import _write_decision_log
+
+    log = tmp_path / "decisions.jsonl"
+    _write_decision_log(str(log), [{"incident_id": 1, "acted": False}])
+    before = log.read_bytes()
+    assert before == b'{"acted": false, "incident_id": 1}\n'
+    assert "wrote 1 decisions" in capsys.readouterr().out
+
+    # Unserializable: fails before any file is touched.
+    with pytest.raises(TypeError):
+        _write_decision_log(str(log), [{"incident_id": object()}])
+
+    def crash(src, dst):
+        raise OSError("crashed before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="before the rename"):
+        _write_decision_log(str(log), [{"incident_id": 2}])
+    monkeypatch.undo()
+    assert log.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["decisions.jsonl"]
+
+
 def test_simulate_writes_json(tmp_path, small_args, capsys):
     out = tmp_path / "incidents.json"
     assert main(["simulate", *small_args, "--out", str(out)]) == 0

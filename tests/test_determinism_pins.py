@@ -16,7 +16,9 @@ def test_series_seed_pin():
     assert series_seed(0, "cpu_usage", "sw-tor0.c1.dc0") == series_seed(
         0, "cpu_usage", "sw-tor0.c1.dc0"
     )
-    # Cross-process stability (no PYTHONHASHSEED dependence).
+    # Stable within one process and seed-sensitive.  Stability across
+    # processes with different PYTHONHASHSEEDs is checked by
+    # tests/test_determinism.py, whose two runs print this same value.
     a = series_seed(7, "ping_statistics", "srv-0.c1.dc0")
     b = series_seed(7, "ping_statistics", "srv-0.c1.dc0")
     assert a == b

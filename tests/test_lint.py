@@ -3,6 +3,7 @@ and the self-check that the shipped configs and src/repro are clean."""
 
 import json
 import pickle
+import subprocess
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -333,6 +334,15 @@ class TestCodeRules:
         )
         assert lint_source(source) == []
 
+    def test_ranked_lock_holder_needs_getstate(self):
+        source = (
+            "from .locks import RankedLock\n\nclass Manager:\n"
+            "    def __init__(self):\n"
+            "        self._commit_lock = RankedLock('commit lock', 2)\n"
+        )
+        f = finding(lint_source(source), "lock-getstate")
+        assert "holds a RankedLock" in f.message
+
     def test_print_allowed_in_cli_modules(self):
         assert lint_source(CODE_FIXTURES["no-print"], path="cli.py") == []
         assert lint_source(CODE_FIXTURES["no-print"], path="x/__main__.py") == []
@@ -533,6 +543,88 @@ class TestCli:
         with pytest.raises(SystemExit):
             lint_main(["--format", "json"])
 
+    def test_program_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--program"])
+        assert exc.value.code == 2
+        assert "--program" in capsys.readouterr().err
+
+    def test_changed_lints_only_modified_files(self, tmp_path, capsys,
+                                               monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        env = {
+            "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+            "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
+        }
+
+        def git(*argv):
+            subprocess.run(
+                ["git", *argv], cwd=repo, check=True,
+                capture_output=True, env={**env, "HOME": str(tmp_path)},
+            )
+
+        git("init", "-q")
+        (repo / "clean.py").write_text("X = 1\n", encoding="utf-8")
+        (repo / "dirty.py").write_text("Y = 2\n", encoding="utf-8")
+        git("add", ".")
+        git("commit", "-q", "-m", "seed")
+        # clean.py is untouched; dirty.py gains a violation, and a new
+        # untracked file appears.
+        (repo / "dirty.py").write_text(
+            "import time\n\ndef f():\n    return time.time()\n",
+            encoding="utf-8",
+        )
+        (repo / "fresh.py").write_text(
+            "def g():\n    print('hi')\n", encoding="utf-8"
+        )
+        monkeypatch.chdir(repo)
+        code = lint_main(["--changed", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        flagged = {
+            (f["path"], f["rule"]) for f in payload["findings"]
+        }
+        assert ("dirty.py", "naked-clock") in flagged
+        assert ("fresh.py", "no-print") in flagged
+        assert not any(path == "clean.py" for path, _ in flagged)
+
+    def test_changed_with_explicit_ref(self, tmp_path, capsys,
+                                       monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        env = {
+            "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+            "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
+        }
+
+        def git(*argv):
+            subprocess.run(
+                ["git", *argv], cwd=repo, check=True,
+                capture_output=True, env={**env, "HOME": str(tmp_path)},
+            )
+
+        git("init", "-q")
+        (repo / "mod.py").write_text("X = 1\n", encoding="utf-8")
+        git("add", ".")
+        git("commit", "-q", "-m", "one")
+        (repo / "mod.py").write_text(
+            "def f():\n    print('x')\n", encoding="utf-8"
+        )
+        git("add", ".")
+        git("commit", "-q", "-m", "two")
+        monkeypatch.chdir(repo)
+        # vs HEAD: nothing changed.
+        assert lint_main(["--changed"]) == 0
+        assert "clean" in capsys.readouterr().out
+        # vs HEAD~1: mod.py changed and carries a violation.
+        code = lint_main(["--changed", "HEAD~1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert any(
+            f["rule"] == "no-print" for f in payload["findings"]
+        )
+
 
 class TestPreflightHooks:
     def test_framework_train_lint_raises(self):
@@ -570,6 +662,36 @@ class TestPreflightHooks:
         manager = IncidentManager(default_teams())
         with pytest.raises(LintError):
             manager.register(scout, lint=True)
+
+
+class TestNakedClockGap:
+    def test_perf_counter_call_flagged(self):
+        from repro.lint import lint_source
+
+        source = "import time\n\ndef f():\n    return time.perf_counter()\n"
+        assert "naked-clock" in rules_of(lint_source(source))
+
+    def test_sleep_call_flagged(self):
+        from repro.lint import lint_source
+
+        source = "import time\n\ndef f():\n    time.sleep(1)\n"
+        assert "naked-clock" in rules_of(lint_source(source))
+
+    def test_default_argument_reference_sanctioned(self):
+        from repro.lint import lint_source
+
+        source = (
+            "import time\n\n"
+            "def f(clock=time.perf_counter, sleeper=time.sleep):\n"
+            "    return clock()\n"
+        )
+        assert rules_of(lint_source(source)) == set()
+
+    def test_cli_module_exempt(self):
+        from repro.lint import lint_source
+
+        source = "import time\n\nT = time.perf_counter()\n"
+        assert rules_of(lint_source(source, path="cli.py")) == set()
 
 
 def test_rule_catalog_documented():

@@ -13,6 +13,10 @@ Two fixes, each with a failing-before/passing-after regression test:
   ``_invoke_scout``.  Teardown now waits on the team and commit locks,
   and the serving path degrades calls to a vanished team to ERROR
   abstains.
+
+The manager's locks are ranked (``repro.serving.locks``): a team lock
+ranks below the commit lock, so the one legal nesting is team then
+commit, and an inverted order raises on its first execution.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import pytest
 from repro.incidents import Incident, IncidentSource, Severity
 from repro.monitoring import FakeClock, FlakyScout
 from repro.serving import CallStatus, IncidentManager
+from repro.serving.locks import LockOrderError, RankedLock
 from repro.simulation import default_teams
 from repro.simulation.teams import DNS, PHYNET, STORAGE
 
@@ -136,7 +141,12 @@ class _GateScout:
 
 
 class _UnregisteringScout:
-    """Wraps a FlakyScout; predict first unregisters another team."""
+    """Wraps a FlakyScout; predict first unregisters another team.
+
+    The teardown runs on a second thread, as an operator's would: the
+    serving thread holds this Scout's team lock here, and the lock
+    ranks forbid it from taking another team's lock under it.
+    """
 
     def __init__(self, inner, manager, victim: str):
         self.inner = inner
@@ -145,7 +155,12 @@ class _UnregisteringScout:
         self.victim = victim
 
     def predict(self, incident):
-        self.manager.unregister(self.victim)
+        teardown = threading.Thread(
+            target=self.manager.unregister, args=(self.victim,)
+        )
+        teardown.start()
+        teardown.join(timeout=10.0)
+        assert not teardown.is_alive(), "unregister never finished"
         return self.inner.predict(incident)
 
 
@@ -259,3 +274,90 @@ class TestUnregisterRace:
         manager = _flaky_manager()
         manager.unregister("NeverRegistered")
         assert manager.registered_teams == sorted((DNS, PHYNET, STORAGE))
+
+
+# -- lock ranks ----------------------------------------------------------------
+
+
+class TestLockRanks:
+    def test_ascending_ranks_nest(self):
+        low, high = RankedLock("low", 1), RankedLock("high", 2)
+        with low:
+            with high:
+                pass
+        with high:  # both released: the held stack is empty again
+            pass
+
+    @pytest.mark.parametrize("inner_rank", [1, 2])
+    def test_inverted_or_equal_rank_raises_before_acquiring(self, inner_rank):
+        outer, inner = RankedLock("outer", 2), RankedLock("inner", inner_rank)
+        with outer:
+            with pytest.raises(LockOrderError, match="cannot take inner"):
+                with inner:
+                    pass  # pragma: no cover
+            # The refused lock was never taken.
+            assert inner._lock.acquire(blocking=False)
+            inner._lock.release()
+        with inner:  # a failed acquisition leaves no stale entry behind
+            with RankedLock("above", 3):
+                pass
+
+    def test_held_ranks_are_per_thread(self):
+        high = RankedLock("high", 2)
+        errors: list[BaseException] = []
+
+        def take_low():
+            try:
+                with RankedLock("low", 1):
+                    pass
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        with high:
+            worker = threading.Thread(target=take_low)
+            worker.start()
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert errors == []
+
+    def test_manager_ranks_team_below_commit(self):
+        manager = _flaky_manager()
+        commit = manager._commit_lock.rank
+        assert {lock.rank for lock in manager._team_locks.values()} == {
+            commit - 1
+        }
+
+    def test_swap_under_the_commit_lock_raises(self):
+        """Commit-then-team is the inverted order: one thread, first
+        execution, no deadlock needed to see it."""
+        manager = _flaky_manager()
+        with manager._commit_lock:
+            with pytest.raises(LockOrderError):
+                manager.swap(FlakyScout(PHYNET, responsible=True))
+        assert manager.model_epoch(PHYNET) == 1
+        # Nothing stays held: the next swap and serve go through.
+        assert manager.swap(FlakyScout(PHYNET, responsible=True)) == 2
+        assert manager.handle(_mk(9)).suggested_team == PHYNET
+
+    def test_second_team_lock_on_the_serving_thread_degrades(self):
+        """A Scout that tears down another team from inside its own
+        predict would nest two team locks; the rank check turns that
+        into an isolated ERROR instead of a latent deadlock."""
+
+        class SameThreadUnregister(_UnregisteringScout):
+            def predict(self, incident):
+                self.manager.unregister(self.victim)
+                return self.inner.predict(incident)  # pragma: no cover
+
+        manager = IncidentManager(default_teams(), clock=FakeClock())
+        manager.register(FlakyScout(DNS, responsible=None))
+        manager.register(
+            SameThreadUnregister(
+                FlakyScout(STORAGE, responsible=False), manager, DNS
+            )
+        )
+        decision = manager.handle(_mk(10))
+        by_team = {o.team: o for o in decision.outcomes}
+        assert by_team[STORAGE].status is CallStatus.ERROR
+        assert "cannot take DNS team lock" in by_team[STORAGE].error
+        assert DNS in manager.registered_teams
