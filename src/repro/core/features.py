@@ -29,7 +29,7 @@ import numpy as np
 from ..config.spec import ScoutConfig
 from ..datacenter.components import Component, ComponentKind
 from ..datacenter.topology import Topology
-from ..monitoring.base import DataKind, TimeSeries
+from ..monitoring.base import DataKind
 from ..monitoring.store import MonitoringStore
 from ..obs.catalog import (
     MONITORING_CACHE_HITS_TOTAL as _CACHE_HITS,
@@ -167,19 +167,16 @@ class _Rows:
     ``index`` maps a device name to its row of ``values``, or to -1 when
     the store has no data for the device (inactive dataset, uncovered
     kind).  Rows only ever append: a later pull of the same window for
-    more devices stacks its rows under the existing ones.  Series pulls
-    keep the shared sampling grid in ``timestamps``.
+    more devices stacks its rows under the existing ones.
     """
 
-    __slots__ = ("values", "index", "timestamps", "_views")
+    __slots__ = ("values", "index")
 
     def __init__(self) -> None:
         self.values: np.ndarray | None = None
         self.index: dict[str, int] = {}
-        self.timestamps: np.ndarray | None = None
-        self._views: dict | None = None
 
-    def add(self, names, positions, values, timestamps=None) -> None:
+    def add(self, names, positions, values) -> None:
         """Record ``names``: ``names[positions[k]]`` gets row ``k`` of
         ``values``, every other name no data."""
         index = self.index
@@ -192,16 +189,8 @@ class _Rows:
             index[names[position]] = base + k
         if self.values is None:
             self.values = values
-            self.timestamps = timestamps
         else:
             self.values = np.vstack((self.values, values))
-
-    def add_row(self, name: str, row, timestamps) -> None:
-        """Record one scalar pull (``row`` None: no data)."""
-        if row is None:
-            self.add((name,), (), None)
-        else:
-            self.add((name,), (0,), row[np.newaxis, :], timestamps)
 
     def gather(self, names) -> tuple[list[int], np.ndarray]:
         """The positions in ``names`` that have data, and their rows."""
@@ -220,23 +209,6 @@ class _Rows:
         if self.values is None:
             return np.full(len(idx), -1, dtype=np.int64)
         return np.where(idx >= 0, self.values[idx, col], -1)
-
-    def row(self, name: str) -> np.ndarray | None:
-        i = self.index[name]
-        return None if i < 0 else self.values[i]
-
-    def series(self, name: str) -> TimeSeries | None:
-        """A name's row as a :class:`TimeSeries` (the same object on
-        every call), or None."""
-        views = self._views if self._views is not None else {}
-        view = views.get(name)
-        if view is None:
-            values = self.row(name)
-            if values is None:
-                return None
-            view = views[name] = TimeSeries(self.timestamps, values)
-            self._views = views
-        return view
 
 
 def _publishes_counts(method):
@@ -281,8 +253,7 @@ class FeatureBuilder:
         # * per-incident — cluster/DC/leaf feature groups and CPD+ all
         #   re-read the same (dataset, device, window) series/counts;
         #   each memo maps (locator, window) to one _Rows matrix.
-        #   Callers reset these between incidents via
-        #   clear_cache()/begin_incident();
+        #   Callers reset these between incidents via clear_cache();
         # * topology-lifetime — ``_observables_memo`` maps a container
         #   component to its observable leaf devices, which depends only
         #   on the (immutable) topology and config, so clear_cache()
@@ -360,20 +331,13 @@ class FeatureBuilder:
         self._norm_memo.clear()
         self._type_counts_memo.clear()
 
-    def begin_incident(self) -> None:
-        """Open one live prediction's cache scope: the per-incident
-        memos reset."""
-        self.clear_cache()
-
     # -- memoized pulls -----------------------------------------------------
     #
     # The per-incident memos hold one _Rows per (locator, window): the
-    # pulled matrix plus a device name -> row index.  The query
-    # sequence is the seed's, which the fault drills pin by ordinal: a
-    # pull that finds two or more distinct devices missing issues one
-    # batch query; any device still missing when its values are read
-    # is pulled by a scalar query at that point, and every read served
-    # from the memo counts one cache hit.
+    # pulled matrix plus a device name -> row index.  A read of devices
+    # the memo lacks pulls all of them, distinct, in one matrix query;
+    # every device read the memo already held counts one cache hit, and
+    # the reads a pull serves count none.
 
     @staticmethod
     def _missing(rows: _Rows | None, devices: list[Component]) -> list[Component]:
@@ -388,49 +352,43 @@ class FeatureBuilder:
                 missing.append(device)
         return missing
 
-    def _serve(self, memo, kind, scalar, locator, devices, t0, t1):
-        """Read ``devices`` (in order) through one (locator, window) memo.
+    def _serve(self, memo, kind, query, locator, devices, t0, t1) -> _Rows:
+        """Read ``devices`` through one (locator, window) memo.
 
-        Devices already memoized count a hit each; the others are pulled
-        one by one with ``scalar`` (a row maker over the store's scalar
-        query), interleaved with the hits exactly as per-device reads
-        would be.  Returns the window's :class:`_Rows`.
+        The distinct devices it lacks come in one ``query`` (a store
+        matrix query returning ``(positions, values)``), counted as one
+        store query; every read of a device the memo already held counts
+        one hit.  Returns the window's :class:`_Rows`.
         """
         key = (locator, t0, t1)
         rows = memo.get(key)
-        if rows is not None and all(d.name in rows.index for d in devices):
-            if devices:
-                self._count(_CACHE_HITS, kind, len(devices))
-            return rows
-        hits = 0
-        for device in devices:
-            if rows is not None and device.name in rows.index:
-                hits += 1
-                continue
-            if hits:
-                self._count(_CACHE_HITS, kind, hits)
-                hits = 0
+        missing = self._missing(rows, devices)
+        hits = len(devices)
+        if missing:
+            names = [device.name for device in missing]
+            pulled = set(names)
+            hits -= sum(device.name in pulled for device in devices)
             self._count(_QUERIES, kind)
-            row, timestamps = scalar(locator, device, t0, t1)
+            positions, values = query(locator, missing, t0, t1)
             if rows is None:
                 rows = memo[key] = _Rows()
-            rows.add_row(device.name, row, timestamps)
+            rows.add(names, positions.tolist(), values)
         if hits:
             self._count(_CACHE_HITS, kind, hits)
         return rows if rows is not None else _Rows()
 
-    def _scalar_series(self, locator, device, t0, t1):
-        series = self.store.query_series(locator, device, t0, t1)
-        if series is None:
-            return None, None
-        return series.values, series.timestamps
+    def _series_matrix(self, locator, devices, t0, t1):
+        positions, _, values = self.store.query_series_matrix(
+            locator, devices, t0, t1
+        )
+        return positions, values
 
-    def _scalar_counts(self, locator, device, t0, t1):
-        counts = self.store.query_event_type_counts(locator, device, t0, t1)
-        if counts is None:
-            return None, None
-        types = self._count_types(locator)
-        return np.array([counts.get(t, 0) for t in types], dtype=np.int64), None
+    def _counts_matrix(self, locator, devices, t0, t1):
+        positions, types, counts = self.store.query_event_type_counts_matrix(
+            locator, devices, t0, t1
+        )
+        columns = [types.index(t) for t in self._count_types(locator)]
+        return positions, counts[:, columns]
 
     def _count_types(self, locator: str) -> list[str]:
         """The count-memo columns of an event dataset: its schema types."""
@@ -443,43 +401,14 @@ class FeatureBuilder:
     def _serve_series(self, locator, devices, t0, t1) -> _Rows:
         return self._serve(
             self._series_memo, "series",
-            self._scalar_series, locator, devices, t0, t1,
+            self._series_matrix, locator, devices, t0, t1,
         )
 
     def _serve_counts(self, locator, devices, t0, t1) -> _Rows:
         return self._serve(
             self._type_counts_memo, "event_counts",
-            self._scalar_counts, locator, devices, t0, t1,
+            self._counts_matrix, locator, devices, t0, t1,
         )
-
-    @_publishes_counts
-    def series(self, locator: str, device: Component, t0: float, t1: float):
-        """Memoized :meth:`MonitoringStore.query_series` (None: no data)."""
-        rows = self._serve_series(locator, [device], t0, t1)
-        return rows.series(device.name)
-
-    def _prefetch_series(
-        self, locator: str, devices: list[Component], t0: float, t1: float
-    ) -> None:
-        """Warm the series memo for many devices with one matrix query.
-
-        Issued only when two or more distinct devices are missing; the
-        rows are bit-identical to per-device queries.
-        """
-        key = (locator, t0, t1)
-        missing = self._missing(self._series_memo.get(key), devices)
-        if len(missing) < 2:
-            return
-        self._count(_QUERIES, "series_batch")
-        positions, timestamps, values = self.store.query_series_matrix(
-            locator, missing, t0, t1
-        )
-        names = [device.name for device in missing]
-        self._series_memo.setdefault(key, _Rows()).add(
-            names, positions.tolist(), values, timestamps
-        )
-
-    prefetch_series = _publishes_counts(_prefetch_series)
 
     @_publishes_counts
     def series_rows(
@@ -491,32 +420,8 @@ class FeatureBuilder:
         matrix row per position, all on the dataset's shared sampling
         grid — the per-device reads CPD+ scans, served from the memo.
         """
-        self._prefetch_series(locator, devices, t0, t1)
         rows = self._serve_series(locator, devices, t0, t1)
         return rows.gather([device.name for device in devices])
-
-    def _prefetch_type_counts(
-        self, locator: str, devices: list[Component], t0: float, t1: float
-    ) -> None:
-        """Warm the count memo with one matrix query (two or more missing).
-
-        Same two-or-more-missing rule as :meth:`prefetch_series`: each
-        batch is one store query, which keeps the default path's
-        FaultyStore ordinals on the sequence the fault drills pin.
-        """
-        key = (locator, t0, t1)
-        missing = self._missing(self._type_counts_memo.get(key), devices)
-        if len(missing) < 2:
-            return
-        self._count(_QUERIES, "event_counts_batch")
-        positions, types, counts = self.store.query_event_type_counts_matrix(
-            locator, missing, t0, t1
-        )
-        columns = [types.index(t) for t in self._count_types(locator)]
-        names = [device.name for device in missing]
-        self._type_counts_memo.setdefault(key, _Rows()).add(
-            names, positions.tolist(), counts[:, columns]
-        )
 
     @_publishes_counts
     def device_type_counts(
@@ -529,9 +434,8 @@ class FeatureBuilder:
     ) -> np.ndarray:
         """Per-device counts of one schema event type, in order (CPD+).
 
-        -1 marks a device the dataset has no data for.  Devices are read
-        one by one through the per-incident memo, the query sequence
-        CPD+ has always issued.
+        -1 marks a device the dataset has no data for.  Served from the
+        per-incident count memo the event features fill.
         """
         rows = self._serve_counts(locator, devices, t0, t1)
         column = self._count_types(locator).index(event_type)
@@ -630,17 +534,11 @@ class FeatureBuilder:
         locator; bool marks 'any data source up'."""
         parts: list[np.ndarray] = []
         any_active = False
-        T = self.config.lookback
-        ref_span = self.config.reference_multiple * T
         for locator in group.locators:
             if not self.store.is_active(locator):
                 continue
             any_active = True
             devices = self._devices(locator, components)
-            # One batched pull per (dataset, window) warms the memos for
-            # the whole group before normalization.
-            self._prefetch_series(locator, devices, t - T, t)
-            self._prefetch_series(locator, devices, t - T - ref_span, t - T)
             rows = self._normalize(locator, devices, t)
             _, pooled = rows.gather([device.name for device in devices])
             if pooled.size:
@@ -658,7 +556,6 @@ class FeatureBuilder:
             return float("nan")
         T = self.config.lookback
         devices = self._devices(feature.locator, components)
-        self._prefetch_type_counts(feature.locator, devices, t - T, t)
         rows = self._serve_counts(feature.locator, devices, t - T, t)
         column = self._count_types(feature.locator).index(feature.event_type)
         counts = rows.column([device.name for device in devices], column)

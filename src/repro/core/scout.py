@@ -108,7 +108,7 @@ class Scout:
         The builder's per-incident monitoring memos reset here, so
         every prediction pulls its own look-back windows.
         """
-        self.builder.begin_incident()
+        self.builder.clear_cache()
         prediction = self._predict_traced(incident)
         if self.obs is not None:
             self.obs.metrics.counter(

@@ -179,13 +179,13 @@ MONITORING_QUERIES_TOTAL = MetricFamily(
     "monitoring_queries_total",
     "counter",
     ("kind",),
-    help="Monitoring-store pulls by query kind.",
+    help="Feature-builder monitoring-store matrix pulls by kind.",
     doc=(
-        "feature-builder monitoring-store pulls (`series`, `series_batch`, "
-        "`event_counts`, `event_counts_batch`); event features and CPD+ read "
-        "per-type counts on every path, so materialized event pulls "
-        "(`query_events`) come only from direct store calls, which this "
-        "counter does not see"
+        "feature-builder monitoring-store pulls (`series`, `event_counts`): "
+        "one per matrix query, which fetches every device a "
+        "(dataset, window) memo lacks; event features and CPD+ read "
+        "per-type counts, so materialized event pulls (`query_events`) "
+        "come only from direct store calls, which this counter does not see"
     ),
 )
 
@@ -193,8 +193,11 @@ MONITORING_CACHE_HITS_TOTAL = MetricFamily(
     "monitoring_cache_hits_total",
     "counter",
     ("kind",),
-    help="Feature-builder memo hits by query kind.",
-    doc="feature-builder per-incident memo hits (`series`, `event_counts`)",
+    help="Feature-builder device reads the per-incident memo already held.",
+    doc=(
+        "feature-builder device reads (`series`, `event_counts`) that the "
+        "per-incident memo already held; reads a pull serves are not hits"
+    ),
 )
 
 TRAINING_PHASE_SECONDS = MetricFamily(

@@ -269,14 +269,14 @@ class TestPoolLifecycle:
 
 
 class TestIncidentCacheScope:
-    def test_begin_incident_clears_the_query_memos(self, sim, framework):
+    def test_clear_cache_clears_the_query_memos(self, sim, framework):
         builder = FeatureBuilder(framework.config, sim.topology, sim.store)
         device = sim.topology.components(ComponentKind.SWITCH)[0]
         locator = builder.config.monitoring[0].locator
         t = 86400.0 * 320
-        builder.series(locator, device, t - 3600.0, t)
+        builder.series_rows(locator, [device], t - 3600.0, t)
         assert builder._series_memo
-        builder.begin_incident()
+        builder.clear_cache()
         assert not builder._series_memo
 
 

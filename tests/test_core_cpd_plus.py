@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import CPDPlus, ComponentExtractor, FeatureBuilder
+from repro.config import phynet_config
+from repro.core import (
+    CPDPlus, ComponentExtractor, FeatureBuilder, ScoutFramework,
+    TrainingOptions,
+)
+from repro.core.selector import Route
 from repro.datacenter import ComponentKind
 from repro.monitoring import FailureEffect
 
@@ -135,3 +140,32 @@ class TestSignals:
         shifted, _ = cpd.signals(extracted, _T)
         sim.store.restore_effects(snapshot)
         assert shifted.sum() > base.sum()
+
+
+class _MatrixOnlyStore:
+    """A store whose scalar series and count queries raise: every feature
+    and CPD+ read must come through the matrix queries."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+
+    def query_series(self, *args):
+        raise AssertionError("scalar query_series on the feature path")
+
+    def query_event_type_counts(self, *args):
+        raise AssertionError("scalar query_event_type_counts on the feature path")
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_dataset_and_cpd_route_use_matrix_queries_only(sim, incidents):
+    framework = ScoutFramework(
+        phynet_config(), sim.topology, _MatrixOnlyStore(sim.store),
+        TrainingOptions(n_estimators=8, cv_folds=2, rng=5),
+    )
+    scout = framework.train(framework.dataset(incidents[:80]).usable())
+    # A low novelty bar sends part of the stream down the CPD+ route.
+    scout.selector.novelty_threshold = 0.1
+    routes = {scout.predict(incident).route for incident in incidents[80:120]}
+    assert Route.UNSUPERVISED in routes

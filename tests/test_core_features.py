@@ -59,7 +59,7 @@ class TestCacheLifetimes:
     def test_clear_cache_resets_query_memos(self, builder, sim):
         device = sim.topology.components(ComponentKind.SWITCH)[0]
         locator = builder.config.monitoring[0].locator
-        builder.series(locator, device, _T - 7200.0, _T)
+        builder.series_rows(locator, [device], _T - 7200.0, _T)
         assert builder._series_memo
         builder.clear_cache()
         assert not builder._series_memo
@@ -297,7 +297,7 @@ class TestMaterializedEventReference:
         for incident in incidents:
             extracted = scout.extractor.extract(incident.text)
             if not extracted.is_empty:
-                scout.builder.begin_incident()
+                scout.builder.clear_cache()
                 vectors.append(
                     scout.builder.features(extracted, incident.created_at)
                 )
@@ -343,37 +343,49 @@ class TestBuilderInstrumentation:
     def test_query_and_cache_hit_counters(self, sim, builder):
         builder.obs = Observability(clock=FakeClock())
         switch = sim.topology.components(ComponentKind.SWITCH)[0]
-        builder.series("cpu_usage", switch, _T - 3600, _T)  # miss
-        builder.series("cpu_usage", switch, _T - 3600, _T)  # memo hit
+        builder.series_rows("cpu_usage", [switch], _T - 3600, _T)  # miss
+        builder.series_rows("cpu_usage", [switch], _T - 3600, _T)  # memo hit
         queries = builder.obs.metrics.get("monitoring_queries_total")
         hits = builder.obs.metrics.get("monitoring_cache_hits_total")
         assert queries.value(kind="series") == 1
         assert hits.value(kind="series") == 1
 
-    def test_batched_prefetch_counts_one_query(self, sim, builder):
+    def test_count_read_is_one_query_then_hits(self, sim, builder):
+        # N distinct devices (listed with duplicates) cost one matrix
+        # query and no hit; reading them again costs one hit per read.
         builder.obs = Observability(clock=FakeClock())
         switches = sim.topology.components(ComponentKind.SWITCH)[:4]
-        builder.prefetch_series("cpu_usage", switches, _T - 3600, _T)
+        devices = switches + switches[:2]
+        feature = next(
+            f for f in builder.schema.event_features
+            if f.kind is ComponentKind.SWITCH
+        )
+        locator, event_type = feature.locator, feature.event_type
+        first = builder.device_type_counts(
+            locator, devices, _T - 3600, _T, event_type
+        )
         queries = builder.obs.metrics.get("monitoring_queries_total")
-        assert queries.value(kind="series_batch") == 1
-        assert queries.value(kind="series") == 0
-        # The warmed memo serves later scalar pulls as cache hits.
-        builder.series("cpu_usage", switches[0], _T - 3600, _T)
+        assert queries.value(kind="event_counts") == 1
+        assert builder.obs.metrics.get("monitoring_cache_hits_total") is None
+        second = builder.device_type_counts(
+            locator, devices, _T - 3600, _T, event_type
+        )
         hits = builder.obs.metrics.get("monitoring_cache_hits_total")
-        assert hits.value(kind="series") == 1
+        assert queries.value(kind="event_counts") == 1
+        assert hits.value(kind="event_counts") == len(devices)
+        assert (first >= 0).all()
+        assert first.tolist() == second.tolist()
+        assert first[4:].tolist() == first[:2].tolist()
 
 
 class TestMemo:
-    def test_cache_hit_returns_same_object(self, sim, builder):
-        switch = sim.topology.components(ComponentKind.SWITCH)[0]
-        a = builder.series("cpu_usage", switch, _T - 3600, _T)
-        b = builder.series("cpu_usage", switch, _T - 3600, _T)
-        assert a is b
-
     def test_clear_cache_resets(self, sim, builder):
+        builder.obs = Observability(clock=FakeClock())
         switch = sim.topology.components(ComponentKind.SWITCH)[0]
-        a = builder.series("cpu_usage", switch, _T - 3600, _T)
+        _, a = builder.series_rows("cpu_usage", [switch], _T - 3600, _T)
         builder.clear_cache()
-        b = builder.series("cpu_usage", switch, _T - 3600, _T)
-        assert a is not b
-        assert np.array_equal(a.values, b.values)
+        _, b = builder.series_rows("cpu_usage", [switch], _T - 3600, _T)
+        queries = builder.obs.metrics.get("monitoring_queries_total")
+        assert queries.value(kind="series") == 2
+        assert builder.obs.metrics.get("monitoring_cache_hits_total") is None
+        assert np.array_equal(a, b)

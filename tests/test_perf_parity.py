@@ -288,22 +288,3 @@ def test_dataset_build_parallel_matches_serial(framework, incidents):
     assert [e.triggers for e in serial] == [e.triggers for e in parallel]
     assert [e.static_route for e in serial] == [e.static_route for e in parallel]
 
-
-def test_feature_builder_batch_prefetch_matches_scalar(framework, incidents, monkeypatch):
-    from repro.core.features import FeatureBuilder
-
-    subset = incidents[:25]
-    # Without the prefetches every device is pulled by its own scalar
-    # store query.
-    monkeypatch.setattr(
-        FeatureBuilder, "_prefetch_series", lambda self, *a, **k: None
-    )
-    monkeypatch.setattr(
-        FeatureBuilder, "_prefetch_type_counts", lambda self, *a, **k: None
-    )
-    scalar = framework.dataset(subset)
-    monkeypatch.undo()
-    batched = framework.dataset(subset)
-    assert np.array_equal(scalar.X, batched.X, equal_nan=True)
-    assert np.array_equal(scalar.signals_matrix, batched.signals_matrix)
-    assert [e.triggers for e in scalar] == [e.triggers for e in batched]

@@ -2,9 +2,9 @@
 
 ``serving_golden.json`` was captured from the per-device feature path
 (one ``TimeSeries`` per device, pooled by concatenation — the path
-``tests/oracles.py`` keeps as ``OracleFeatureBuilder``) with Scout
-fan-out on a thread pool.  A seeded ``handle`` loop over a fake clock
-serves real Scouts (PhyNet plus the four starter teams) and records:
+``tests/oracles.py`` keeps as ``OracleFeatureBuilder``).  A seeded
+``handle`` loop over a fake clock serves real Scouts (PhyNet plus the
+four starter teams) and records:
 
 * per Scout, the sha256 of every feature vector and CPD+ signal vector
   it computed, in call order;
@@ -13,8 +13,6 @@ serves real Scouts (PhyNet plus the four starter teams) and records:
   query kind;
 * the metrics exposition without the latency histograms (they read the
   clock, not the Scouts).
-
-Both manager ``n_jobs`` settings must reproduce it byte for byte.
 
 Regenerate (only when a change is *meant* to move these bytes) with
 ``PYTHONPATH=src python -m tests.test_serving_golden``.
@@ -133,7 +131,7 @@ def _plain(value):
     return value
 
 
-def golden_artifacts(deployment, n_jobs: int) -> dict:
+def golden_artifacts(deployment) -> dict:
     sim, scouts, served = deployment
     for scout in scouts:
         scout.obs = None
@@ -141,9 +139,7 @@ def golden_artifacts(deployment, n_jobs: int) -> dict:
         scout.builder.clear_cache()
     recorder = _Recorder(scouts)
     try:
-        with IncidentManager(
-            sim.registry, clock=FakeClock(), n_jobs=n_jobs
-        ) as manager:
+        with IncidentManager(sim.registry, clock=FakeClock()) as manager:
             for scout in scouts:
                 manager.register(scout)
             for incident in served:
@@ -189,9 +185,8 @@ def deployment():
     return golden_deployment()
 
 
-@pytest.mark.parametrize("n_jobs", [1, 3])
-def test_serving_outputs_match_pinned_golden(deployment, n_jobs):
-    assert _dumps(golden_artifacts(deployment, n_jobs)) == GOLDEN.read_text()
+def test_serving_outputs_match_pinned_golden(deployment):
+    assert _dumps(golden_artifacts(deployment)) == GOLDEN.read_text()
 
 
 def test_golden_workload_reaches_both_model_routes():
@@ -199,9 +194,9 @@ def test_golden_workload_reaches_both_model_routes():
     kinds = {entry[0] for hashes in golden["vectors"].values() for entry in hashes}
     assert kinds == {"f", "s"}
     queries = golden["counters"]["monitoring_queries_total"]
-    assert {"series", "series_batch", "event_counts_batch"} <= set(queries)
+    assert set(queries) == {"series", "event_counts"}
     assert golden["counters"]["monitoring_cache_hits_total"]
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_dumps(golden_artifacts(golden_deployment(), 1)))
+    GOLDEN.write_text(_dumps(golden_artifacts(golden_deployment())))
