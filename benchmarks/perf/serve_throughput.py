@@ -8,8 +8,9 @@ Microsoft's production traffic).  The *serial* reference is a
 ``handle_batch``, which is itself a ``handle`` loop on the calling
 thread, so ``serve_batch_speedup`` measures ``handle_batch``'s overhead
 over the plain loop and sits at about 1.0.  Both sides build features
-the same way: each prediction pulls its own windows into memos that
-reset per incident.
+the same way: the first copy of an incident pulls its windows, and each
+later copy reuses its feature vector from the builder's vector memo,
+which both sides start empty.
 
 Reported metrics (merged into ``BENCH_scout.json``'s ``after`` dict):
 
@@ -17,7 +18,8 @@ Reported metrics (merged into ``BENCH_scout.json``'s ``after`` dict):
 * ``serve_batch_ips``      — incidents/sec through ``handle_batch``
 * ``serve_batch_speedup``  — batch over serial (≈ 1.0)
 * ``serve_cache_hit_rate`` — memo hits / (hits + store pulls) during
-  the batch run (batched pulls count as one store query each)
+  the batch run (batched pulls count as one store query each; a
+  reused feature vector counts one hit)
 * ``serve_burst_incidents`` — burst size, for context
 """
 

@@ -47,6 +47,10 @@ STAT_NAMES = (
 )
 _PERCENTILES = (1, 10, 25, 50, 75, 90, 99)
 
+# Feature vectors the cross-incident memo keeps per builder (oldest
+# evicted first): a few storms' worth of distinct incidents.
+_VECTOR_CAP = 128
+
 _LEAF_KINDS = (ComponentKind.SERVER, ComponentKind.SWITCH, ComponentKind.VM)
 _CONTAINER_KINDS = (ComponentKind.CLUSTER, ComponentKind.DC)
 
@@ -246,14 +250,21 @@ class FeatureBuilder:
         self.topology = topology
         self.store = store
         self.schema = FeatureSchema(config, store)
-        # Two cache lifetimes, both initialized here so clear_cache()
+        # Three cache lifetimes, all initialized here so clear_cache()
         # and pickling (parallel dataset builds ship builders to
         # workers) always see every memo:
         #
         # * per-incident — cluster/DC/leaf feature groups and CPD+ all
         #   re-read the same (dataset, device, window) series/counts;
         #   each memo maps (locator, window) to one _Rows matrix.
-        #   Callers reset these between incidents via clear_cache();
+        #   clear_rows() resets these between incidents;
+        # * cross-incident — ``_vector_memo`` maps (incident time,
+        #   component names per config kind) to the finished feature
+        #   vector, oldest-first evicted at _VECTOR_CAP entries.  It is
+        #   valid for one store object at one ``store.mutations`` value
+        #   (``_vector_stamp``) and drops whole when either moves;
+        #   clear_cache() resets it with the per-incident memos, and it
+        #   is never pickled;
         # * topology-lifetime — ``_observables_memo`` maps a container
         #   component to its observable leaf devices, which depends only
         #   on the (immutable) topology and config, so clear_cache()
@@ -262,6 +273,8 @@ class FeatureBuilder:
         self._series_memo: dict[tuple, _Rows] = {}
         self._norm_memo: dict[tuple, _Rows] = {}
         self._type_counts_memo: dict[tuple, _Rows] = {}
+        self._vector_memo: dict[tuple, np.ndarray] = {}
+        self._vector_stamp: tuple | None = None
         self._observables_memo: dict = {}
         self._count_types_memo: dict[str, list[str]] = {}
         # Observability sink (None = un-instrumented): counts store
@@ -278,10 +291,14 @@ class FeatureBuilder:
 
     def __getstate__(self) -> dict:
         # Counter handles belong to this process's registry: workers
-        # that receive a pickled builder bind their own.
+        # that receive a pickled builder bind their own.  The vector
+        # memo stays behind too: workers build distinct incidents, so
+        # it would only add bytes to every pickle.
         state = self.__dict__.copy()
         state["_bound_counters"] = {}
         state["_pending_counts"] = {}
+        state["_vector_memo"] = {}
+        state["_vector_stamp"] = None
         return state
 
     @property
@@ -321,15 +338,26 @@ class FeatureBuilder:
         for key, n in pending.items():
             self._bound_counters[key].inc(n)
 
-    def clear_cache(self) -> None:
+    def clear_rows(self) -> None:
         """Reset the per-incident query memos (call between incidents).
 
-        The topology-lifetime ``_observables_memo`` survives: container
-        membership cannot change within a builder's lifetime.
+        The feature-vector memo survives: its entries are keyed by
+        content and checked against the store, so the next incident
+        reuses a vector only where it would rebuild the same one.
         """
         self._series_memo.clear()
         self._norm_memo.clear()
         self._type_counts_memo.clear()
+
+    def clear_cache(self) -> None:
+        """Reset the per-incident memos and the feature-vector memo.
+
+        The topology-lifetime ``_observables_memo`` survives: container
+        membership cannot change within a builder's lifetime.
+        """
+        self.clear_rows()
+        self._vector_memo.clear()
+        self._vector_stamp = None
 
     # -- memoized pulls -----------------------------------------------------
     #
@@ -567,7 +595,39 @@ class FeatureBuilder:
     def features(
         self, extracted: ExtractedComponents, t: float
     ) -> np.ndarray:
-        """The fixed-length feature vector for one incident at time ``t``."""
+        """The fixed-length feature vector for one incident at time ``t``.
+
+        A vector depends only on ``t``, the extracted components of each
+        configured kind and the store's contents, so it is memoized on
+        exactly those: an outage storm's copies build it once, and each
+        later copy counts one ``vector`` cache hit and pulls nothing.
+        """
+        key = (t, *(
+            tuple(c.name for c in extracted.of_kind(kind))
+            for kind in self.config.kinds
+        ))
+        memo = self._vectors()
+        vector = memo.get(key)
+        if vector is not None:
+            self._count(_CACHE_HITS, "vector")
+            return vector.copy()
+        vector = self._build(extracted, t)
+        if len(memo) >= _VECTOR_CAP:
+            del memo[next(iter(memo))]  # insertion order: the oldest
+        memo[key] = vector
+        return vector.copy()
+
+    def _vectors(self) -> dict[tuple, np.ndarray]:
+        """The vector memo, emptied first if the store it was filled
+        from was replaced or has mutated since."""
+        store = self.store
+        stamp = self._vector_stamp
+        if stamp is None or stamp[0] is not store or stamp[1] != store.mutations:
+            self._vector_memo.clear()
+            self._vector_stamp = (store, store.mutations)
+        return self._vector_memo
+
+    def _build(self, extracted: ExtractedComponents, t: float) -> np.ndarray:
         vector = np.empty(len(self.schema))
         pos = 0
         for group in self.schema.ts_groups:

@@ -105,10 +105,15 @@ class Scout:
         model-selector choice, feature build, and RF vs. CPD+
         inference each show up with their own timing.
 
-        The builder's per-incident monitoring memos reset here, so
-        every prediction pulls its own look-back windows.
+        The builder's per-incident monitoring memos reset here, so a
+        prediction's pulls and hits depend only on its own incident.
+        The builder's feature-vector memo does not: an incident with
+        the time and components of one served since the store last
+        changed reuses that incident's vector and pulls nothing for
+        its features (an outage storm's copies).  ``clear_cache()``
+        resets both.
         """
-        self.builder.clear_cache()
+        self.builder.clear_rows()
         prediction = self._predict_traced(incident)
         if self.obs is not None:
             self.obs.metrics.counter(

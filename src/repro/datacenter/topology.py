@@ -68,6 +68,13 @@ class Topology:
         # per-incident hot path).
         self._members_cache: dict[tuple[str, ComponentKind | None], list[Component]] = {}
         self._deps_cache: dict[str, list[Component]] = {}
+        # One Component per node, named by the graph's own key string:
+        # whatever a lookup's name was sliced from (an incident's text),
+        # every extracted component and explanation shares this one.
+        self._components = {
+            name: Component(data["kind"], name)
+            for name, data in graph.nodes(data=True)
+        }
 
     # -- lookup ------------------------------------------------------------
 
@@ -75,9 +82,10 @@ class Topology:
         return name in self._graph
 
     def component(self, name: str) -> Component:
-        if name not in self._graph:
-            raise KeyError(f"unknown component: {name!r}")
-        return Component(self._graph.nodes[name]["kind"], name)
+        try:
+            return self._components[name]
+        except KeyError:
+            raise KeyError(f"unknown component: {name!r}") from None
 
     def components(self, kind: ComponentKind) -> list[Component]:
         """All components of one kind, sorted by name."""

@@ -72,6 +72,10 @@ class MonitoringStore:
         # Effects indexed by (dataset, component), kept sorted by start.
         self._effects: dict[tuple[str, str], list[FailureEffect]] = defaultdict(list)
         self._seed_memo: dict[tuple[str, str], int] = {}
+        # Bumped by every call that can change a query's answer
+        # (effects, activation), so a cache of derived values can tell
+        # that its entries may be stale.
+        self.mutations = 0
 
     def _series_seed(self, dataset: str, component: str) -> int:
         key = (dataset, component)
@@ -101,10 +105,12 @@ class MonitoringStore:
         """Model a deprecated/failed monitoring system (Fig 9, §6)."""
         self.schema(dataset)
         self._inactive.add(dataset)
+        self.mutations += 1
 
     def activate(self, dataset: str) -> None:
         self.schema(dataset)
         self._inactive.discard(dataset)
+        self.mutations += 1
 
     def is_active(self, dataset: str) -> bool:
         return dataset not in self._inactive
@@ -128,9 +134,11 @@ class MonitoringStore:
         effects = self._effects[(effect.dataset, effect.component)]
         effects.append(effect)
         effects.sort(key=lambda e: e.start)
+        self.mutations += 1
 
     def clear_effects(self) -> None:
         self._effects.clear()
+        self.mutations += 1
 
     def snapshot_effects(self) -> dict:
         """Copy the current effect registry (pair with restore_effects)."""
@@ -141,6 +149,7 @@ class MonitoringStore:
         self._effects = defaultdict(
             list, {key: list(value) for key, value in snapshot.items()}
         )
+        self.mutations += 1
 
     def effects_for(self, dataset: str, component: str) -> list[FailureEffect]:
         return list(self._effects.get((dataset, component), []))

@@ -196,7 +196,9 @@ MONITORING_CACHE_HITS_TOTAL = MetricFamily(
     help="Feature-builder device reads the per-incident memo already held.",
     doc=(
         "feature-builder device reads (`series`, `event_counts`) that the "
-        "per-incident memo already held; reads a pull serves are not hits"
+        "per-incident memo already held, where reads a pull serves are not "
+        "hits; and feature vectors (`vector`) reused from the cross-incident "
+        "memo, one per `features` call that pulled nothing"
     ),
 )
 

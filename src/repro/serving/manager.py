@@ -34,7 +34,9 @@ builders) inherit the manager's observability, so one
 
 from __future__ import annotations
 
+import math
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,7 +96,149 @@ class ScoutCallOutcome:
         return self.status is not CallStatus.BREAKER_OPEN
 
 
-@dataclass(frozen=True)
+# Column codes of the decision record.
+_STATUSES = tuple(CallStatus)
+_ROUTES = tuple(Route)
+_VERDICTS = (False, True, None)  # a prediction's ``responsible``
+_OK = _STATUSES.index(CallStatus.OK)
+
+
+class _DecisionLog:
+    """Every decision a manager served, stored as columns.
+
+    The manager keeps every decision, so what a decision costs to keep
+    is what its columns cost.  Per decision: its incident id, suggested
+    team, latency, composition latency, acted flag, trace id and the
+    end offset of its run of calls.  Per call: the team, status,
+    latency (NaN for a skipped call), model epoch, and the prediction's
+    verdict, confidence, route, novelty and explanation.  Team names and
+    explanation contents are interned, so an outage storm's copies share
+    one explanation record.  Rare values (a call's error text, a
+    prediction whose incident id is not its decision's) sit in sparse
+    maps keyed by call index.
+    """
+
+    def __init__(self) -> None:
+        self.teams: list[str] = []
+        self._team_rows: dict[str, int] = {}
+        self.explanations: list[tuple] = []
+        self._explanation_rows: dict[tuple, int] = {}
+        self.ids = array("q")
+        self.suggested = array("I")  # team row + 1, 0 for no suggestion
+        self.latency = array("d")
+        self.compose = array("d")
+        self.acted = array("B")
+        self.trace_ids: list[str | None] = []
+        self.call_end = array("I")
+        self.call_team = array("I")
+        self.status = array("B")
+        self.call_latency = array("d")
+        self.epoch = array("I")
+        self.verdict = array("B")
+        self.confidence = array("d")
+        self.route = array("B")
+        self.novelty = array("d")
+        self.explanation = array("I")
+        self.errors: dict[int, str] = {}
+        self.prediction_ids: dict[int, int] = {}
+
+    def _team(self, team: str) -> int:
+        row = self._team_rows.get(team)
+        if row is None:
+            row = self._team_rows[team] = len(self.teams)
+            self.teams.append(team)
+        return row
+
+    def _explanation(self, explanation: Explanation) -> int:
+        key = (
+            tuple(explanation.components),
+            tuple(explanation.datasets),
+            tuple(explanation.attributions),
+            tuple(explanation.triggers),
+            tuple(explanation.notes),
+        )
+        row = self._explanation_rows.get(key)
+        if row is None:
+            row = self._explanation_rows[key] = len(self.explanations)
+            self.explanations.append(key)
+        return row
+
+    def append(
+        self,
+        incident_id: int,
+        suggested: str | None,
+        results: list[_CallResult],
+        latency: float,
+        compose: float,
+        acted: bool,
+        trace_id: str | None,
+    ) -> int:
+        """Record one decision; returns its index."""
+        try:
+            self.ids.append(incident_id)
+        except OverflowError:  # ids beyond int64 stay Python ints
+            self.ids = list(self.ids)
+            self.ids.append(incident_id)
+        self.suggested.append(0 if suggested is None else self._team(suggested) + 1)
+        self.latency.append(latency)
+        self.compose.append(compose)
+        self.acted.append(acted)
+        self.trace_ids.append(trace_id)
+        for result in results:
+            call = len(self.call_team)
+            outcome = result.outcome
+            prediction = result.prediction
+            self.call_team.append(self._team(result.team))
+            self.status.append(_STATUSES.index(outcome.status))
+            latency_seconds = outcome.latency_seconds
+            self.call_latency.append(
+                math.nan if latency_seconds is None else latency_seconds
+            )
+            self.epoch.append(result.epoch)
+            self.verdict.append(_VERDICTS.index(prediction.responsible))
+            self.confidence.append(prediction.confidence)
+            self.route.append(_ROUTES.index(prediction.route))
+            self.novelty.append(prediction.novelty)
+            self.explanation.append(self._explanation(prediction.explanation))
+            if outcome.error is not None:
+                self.errors[call] = outcome.error
+            if prediction.incident_id != incident_id:
+                self.prediction_ids[call] = prediction.incident_id
+        self.call_end.append(len(self.call_team))
+        return len(self.ids) - 1
+
+    def calls(self, index: int) -> range:
+        return range(self.call_end[index - 1] if index else 0, self.call_end[index])
+
+    def prediction(self, call: int, incident_id: int) -> ScoutPrediction:
+        components, datasets, attributions, triggers, notes = (
+            self.explanations[self.explanation[call]]
+        )
+        return ScoutPrediction(
+            self.prediction_ids.get(call, incident_id),
+            responsible=_VERDICTS[self.verdict[call]],
+            confidence=self.confidence[call],
+            route=_ROUTES[self.route[call]],
+            explanation=Explanation(
+                components=list(components),
+                datasets=list(datasets),
+                attributions=list(attributions),
+                triggers=list(triggers),
+                notes=list(notes),
+            ),
+            novelty=self.novelty[call],
+        )
+
+    def outcome(self, call: int) -> ScoutCallOutcome:
+        latency = self.call_latency[call]
+        return ScoutCallOutcome(
+            self.teams[self.call_team[call]],
+            _STATUSES[self.status[call]],
+            None if math.isnan(latency) else latency,
+            self.errors.get(call),
+        )
+
+
 class ServingDecision:
     """One logged routing decision.
 
@@ -108,23 +252,109 @@ class ServingDecision:
     :meth:`IncidentManager.swap` leaves behind (in-flight incidents at
     swap time carry the old epoch, later arrivals the new one; a call
     degraded because its team was unregistered mid-flight stamps 0).
+
+    A decision is a read-only view of its row in the manager's
+    :class:`_DecisionLog`; every field is rebuilt from the columns on
+    access (``answers``, ``stage_latencies`` and ``model_epochs`` from
+    the per-call ones), and equality and ``repr`` go by the field
+    values.  Each access builds fresh predictions, so mutating
+    one changes no logged decision.
     """
 
-    incident_id: int
-    suggested_team: str | None
-    answers: tuple[ScoutAnswer, ...]
-    predictions: tuple[ScoutPrediction, ...]
-    latency_seconds: float
-    acted: bool
-    outcomes: tuple[ScoutCallOutcome, ...] = ()
-    trace_id: str | None = None
-    stage_latencies: tuple[tuple[str, float], ...] = ()
-    model_epochs: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("_log", "_i")
+
+    FIELDS = (
+        "incident_id", "suggested_team", "answers", "predictions",
+        "latency_seconds", "acted", "outcomes", "trace_id",
+        "stage_latencies", "model_epochs",
+    )
+
+    def __init__(self, log: _DecisionLog, index: int) -> None:
+        self._log = log
+        self._i = index
+
+    @property
+    def incident_id(self) -> int:
+        return self._log.ids[self._i]
+
+    @property
+    def suggested_team(self) -> str | None:
+        row = self._log.suggested[self._i]
+        return self._log.teams[row - 1] if row else None
+
+    @property
+    def answers(self) -> tuple[ScoutAnswer, ...]:
+        log = self._log
+        return tuple(
+            ScoutAnswer(
+                log.teams[log.call_team[call]],
+                _VERDICTS[log.verdict[call]],
+                log.confidence[call],
+            )
+            for call in log.calls(self._i)
+        )
+
+    @property
+    def predictions(self) -> tuple[ScoutPrediction, ...]:
+        incident_id = self.incident_id
+        return tuple(
+            self._log.prediction(call, incident_id)
+            for call in self._log.calls(self._i)
+        )
+
+    @property
+    def latency_seconds(self) -> float:
+        return self._log.latency[self._i]
+
+    @property
+    def acted(self) -> bool:
+        return bool(self._log.acted[self._i])
+
+    @property
+    def outcomes(self) -> tuple[ScoutCallOutcome, ...]:
+        return tuple(self._log.outcome(call) for call in self._log.calls(self._i))
+
+    @property
+    def trace_id(self) -> str | None:
+        return self._log.trace_ids[self._i]
+
+    @property
+    def stage_latencies(self) -> tuple[tuple[str, float], ...]:
+        log = self._log
+        stages = tuple(
+            (f"scout.{log.teams[log.call_team[call]]}", log.call_latency[call])
+            for call in log.calls(self._i)
+            if not math.isnan(log.call_latency[call])
+        )
+        return stages + (("compose", log.compose[self._i]),)
+
+    @property
+    def model_epochs(self) -> tuple[tuple[str, int], ...]:
+        log = self._log
+        return tuple(
+            (log.teams[log.call_team[call]], log.epoch[call])
+            for call in log.calls(self._i)
+        )
 
     @property
     def degraded(self) -> bool:
         """Did any Scout fail to answer healthily for this incident?"""
-        return any(not outcome.ok for outcome in self.outcomes)
+        status = self._log.status
+        return any(status[call] != _OK for call in self._log.calls(self._i))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ServingDecision):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.FIELDS, self._values())
+        )
+        return f"ServingDecision({body})"
 
 
 @dataclass
@@ -328,8 +558,8 @@ class IncidentManager:
         self._monitors: dict[str, DriftMonitor] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breaker_seen: dict[str, str] = {}
+        self._decisions = _DecisionLog()
         self._log: list[ServingDecision] = []
-        self._served_ids: set[int] = set()
         self._resolved_indices: set[int] = set()
         # incident_id -> positions in _log, appended with the decision
         # so resolve() is O(decisions for that incident), not
@@ -438,8 +668,12 @@ class IncidentManager:
             # Scout brought its own sink.
             scout.obs = self.obs
         builder = getattr(scout, "builder", None)
-        if builder is not None and getattr(builder, "obs", False) is None:
-            builder.obs = self.obs
+        if builder is not None:
+            if getattr(builder, "obs", False) is None:
+                builder.obs = self.obs
+            # Start from empty memos, so this manager's pull and hit
+            # counters depend only on the incidents it serves.
+            builder.clear_cache()
 
     def swap(self, scout: Scout, *, lint: bool = False) -> int:
         """Hot-swap a team's Scout with zero serving downtime.
@@ -467,13 +701,16 @@ class IncidentManager:
             )
         if lint:
             self._lint_preflight(scout)
-        self._prepare_scout(scout)
         team_lock = self._team_locks[team]
         # The one team-then-commit order the lock ranks allow (the
         # serving path never holds both), so a swap can land
         # mid-incident without deadlocking or tearing half-done
         # accounting.
         with team_lock:
+            # Under the team lock: the replacement may share a builder
+            # with the model in flight, whose memos must not clear
+            # under it.
+            self._prepare_scout(scout)
             with self._commit_lock:
                 self._scouts[team] = scout
                 epoch = self._epochs.get(team, 1) + 1
@@ -512,8 +749,8 @@ class IncidentManager:
             )
         if lint:
             self._lint_preflight(scout)
-        self._prepare_scout(scout)
         with self._team_locks[team]:
+            self._prepare_scout(scout)
             self._shadows[team] = scout
 
     def unregister_shadow(self, team: str) -> None:
@@ -856,40 +1093,38 @@ class IncidentManager:
                 suggested = self._master.route(answers)
             compose_seconds = self._clock() - compose_started
             root.attributes["suggested_team"] = suggested
-            decision = ServingDecision(
-                incident_id=incident.incident_id,
-                suggested_team=suggested,
-                answers=answers,
-                predictions=tuple(r.prediction for r in results),
-                latency_seconds=self._clock() - started,
-                acted=not self.suggestion_mode and suggested is not None,
-                outcomes=tuple(r.outcome for r in results),
+            decision = self._account(
+                incident.incident_id,
+                results,
+                suggested,
+                latency=self._clock() - started,
+                compose=compose_seconds,
                 trace_id=root.trace_id,
-                stage_latencies=tuple(
-                    (f"scout.{r.team}", r.outcome.latency_seconds)
-                    for r in results
-                    if r.outcome.latency_seconds is not None
-                )
-                + (("compose", compose_seconds),),
-                model_epochs=tuple((r.team, r.epoch) for r in results),
             )
-            self._account(results, decision)
         return decision
 
     def _account(
-        self, results: list[_CallResult], decision: ServingDecision
-    ) -> None:
+        self,
+        incident_id: int,
+        results: list[_CallResult],
+        suggested: str | None,
+        latency: float,
+        compose: float,
+        trace_id: str | None,
+    ) -> ServingDecision:
         """Record one served incident: stats, metrics, logs.
 
         Runs under the commit lock, so a :meth:`swap` or
         :meth:`unregister` on another thread sees an incident either
-        wholly accounted or not at all.
+        wholly accounted or not at all.  Returns the logged decision.
         """
         with self._commit_lock:
+            degraded = False
             for result in results:
                 team = result.team
                 prediction = result.prediction
                 outcome = result.outcome
+                degraded = degraded or not outcome.ok
                 # None when the team was unregistered after its call:
                 # its stats object left with it, but the metric stream
                 # and the decision record still see the call.
@@ -940,16 +1175,24 @@ class IncidentManager:
                     if obs.diff:
                         self._m_shadow_diffs.inc(1, team=team)
             self._m_incidents.inc()
-            if decision.suggested_team is not None:
+            if suggested is not None:
                 self._m_suggestions.inc()
-            if decision.degraded:
+            if degraded:
                 self._m_degraded.inc()
-            self._m_handle_latency.observe(decision.latency_seconds)
-            self._log.append(decision)
-            self._log_indices.setdefault(decision.incident_id, []).append(
-                len(self._log) - 1
+            self._m_handle_latency.observe(latency)
+            index = self._decisions.append(
+                incident_id,
+                suggested,
+                results,
+                latency,
+                compose,
+                not self.suggestion_mode and suggested is not None,
+                trace_id,
             )
-            self._served_ids.add(decision.incident_id)
+            decision = ServingDecision(self._decisions, index)
+            self._log.append(decision)
+            self._log_indices.setdefault(incident_id, []).append(index)
+        return decision
 
     def handle_batch(self, incidents: list[Incident]) -> list[ServingDecision]:
         """Serve a burst of incidents in arrival order: a :meth:`handle` loop.
@@ -985,7 +1228,7 @@ class IncidentManager:
             if i not in self._resolved_indices
         ]
         if not indices:
-            if incident_id in self._served_ids:
+            if incident_id in self._log_indices:
                 return  # already resolved — idempotent
             raise KeyError(f"no served decision for incident {incident_id}")
         decision = self._log[indices[-1]]

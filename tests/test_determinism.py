@@ -7,6 +7,8 @@ tiers and prints everything a replay would compare:
   errors, per-query latency, retries) with circuit breakers;
 * a ``StreamServer`` run with load shedding and a hot-swap scheduled
   mid-stream;
+* outage storms of incident copies through ``handle_batch``, with a
+  feature-vector memo cap small enough to evict;
 * a ``FleetServer`` run with transient failures and breakers;
 
 and, for each tier, the full decision log and the ``obs.render()``
@@ -31,10 +33,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+import repro.core.features as features_module
 from repro.config import phynet_config, team_scout_configs
 from repro.core import ScoutFramework, TrainingOptions
 from repro.datacenter import TopologySpec
@@ -166,6 +170,35 @@ def drive(clock_start: float, reverse: bool) -> dict:
         "exposition": manager.obs.render(),
     }
 
+    # Outage storms: round-robin copies of a few incidents at one
+    # instant under fresh ids, so the feature-vector memo hits, with a
+    # cap below a storm's worth of distinct incidents, so it evicts.
+    clock = FakeClock(clock_start)
+    _fresh(
+        scouts, store,
+        FaultPlan(seed=7, error_rate=0.02, latency_seconds=0.125), clock,
+    )
+    manager = _manager(sim, scouts, clock, reverse)
+    next_id = max(incident.incident_id for incident in served) + 1
+    cap = features_module._VECTOR_CAP
+    features_module._VECTOR_CAP = 4
+    try:
+        for first in range(0, len(served), 6):
+            distinct = served[first:first + 6]
+            storm = [
+                replace(incident, incident_id=next_id + k)
+                for k, incident in enumerate(distinct * 3)
+            ]
+            next_id += len(storm)
+            manager.handle_batch(storm)
+            clock.advance(4.0)
+    finally:
+        features_module._VECTOR_CAP = cap
+    out["storm"] = {
+        "decisions": [_plain(d) for d in manager.log],
+        "exposition": manager.obs.render(),
+    }
+
     # A fleet with transient failures and breakers.
     clock = FakeClock(clock_start)
     with FleetServer(
@@ -242,6 +275,9 @@ def test_two_processes_route_byte_identically():
     }
     assert epochs == {1, 2}
     assert 'status="breaker_open"' in first["fleet"]["exposition"]
+    assert 'monitoring_cache_hits_total{kind="vector"}' in (
+        first["storm"]["exposition"]
+    )
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from repro.core import ScoutFramework, TrainingOptions
 from repro.datacenter import TopologySpec
 from repro.monitoring import FakeClock
 from repro.obs import render_exposition
-from repro.serving import IncidentManager
+from repro.serving import IncidentManager, ServingDecision
 from repro.simulation import CloudSimulation, SimulationConfig
 
 GOLDEN = Path(__file__).with_name("serving_golden.json")
@@ -117,6 +117,8 @@ def _plain(value):
     """JSON-ready form of a logged decision (enums by value)."""
     if isinstance(value, enum.Enum):
         return value.value
+    if isinstance(value, ServingDecision):
+        return {name: _plain(getattr(value, name)) for name in value.FIELDS}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: _plain(getattr(value, f.name))
