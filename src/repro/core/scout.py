@@ -105,7 +105,7 @@ class Scout:
         model-selector choice, feature build, and RF vs. CPD+
         inference each show up with their own timing.
 
-        The builder's per-incident monitoring memos reset here, so a
+        The builder's per-call pull plan resets here, so a
         prediction's pulls and hits depend only on its own incident.
         The builder's feature-vector memo does not: an incident with
         the time and components of one served since the store last
@@ -163,8 +163,8 @@ class Scout:
     def _pull(self, fn: Callable[[], _T]) -> _T:
         """Run a monitoring-pull stage under the retry policy (if any).
 
-        Successful pulls stay memoized in the builder between attempts,
-        so a retry only re-issues the query that actually failed.
+        Completed pulls stay in the builder's per-call plan between
+        attempts, so a retry only re-issues the pull that failed.
         Extra attempts beyond the first are counted per team in
         ``scout_retry_attempts_total`` when observability is attached.
         """

@@ -39,7 +39,7 @@ from .generators import (
     series_seed,
 )
 
-__all__ = ["MonitoringStore"]
+__all__ = ["MonitoringStore", "sample_range"]
 
 
 def _assemble_events(
@@ -51,6 +51,14 @@ def _assemble_events(
     times_arr = times_arr[order]
     types_tuple = tuple(types[i] for i in order)
     return EventSeries(times_arr, types_tuple)
+
+
+def sample_range(interval: float, t0: float, t1: float) -> tuple[int, int]:
+    """The sample-index range ``[first, last]`` of a series window on a
+    grid of step ``interval``, clamped at the simulation epoch (empty
+    when ``last < first``, with ``last`` never below ``first - 1``)."""
+    first = max(0, int(np.ceil(t0 / interval)))
+    return first, max(first - 1, int(np.floor(t1 / interval)))
 
 
 def _event_bins(t0: float, t1: float) -> tuple[int, int]:
@@ -71,19 +79,27 @@ class MonitoringStore:
         self._inactive: set[str] = set()
         # Effects indexed by (dataset, component), kept sorted by start.
         self._effects: dict[tuple[str, str], list[FailureEffect]] = defaultdict(list)
-        self._seed_memo: dict[tuple[str, str], int] = {}
+        # dataset -> component name -> series seed.
+        self._seed_memo: dict[str, dict[str, int]] = defaultdict(dict)
         # Bumped by every call that can change a query's answer
         # (effects, activation), so a cache of derived values can tell
         # that its entries may be stale.
         self.mutations = 0
 
     def _series_seed(self, dataset: str, component: str) -> int:
-        key = (dataset, component)
-        seed = self._seed_memo.get(key)
+        memo = self._seed_memo[dataset]
+        seed = memo.get(component)
         if seed is None:
-            seed = series_seed(self._seed, dataset, component)
-            self._seed_memo[key] = seed
+            seed = memo[component] = series_seed(self._seed, dataset, component)
         return seed
+
+    def _series_seeds(self, dataset: str, names: list[str]) -> np.ndarray:
+        """:meth:`_series_seed` of every name, as one uint64 array."""
+        memo = self._seed_memo[dataset]
+        for name in names:
+            if name not in memo:
+                memo[name] = series_seed(self._seed, dataset, name)
+        return np.array([memo[name] for name in names], dtype=np.uint64)
 
     # -- registry ----------------------------------------------------------
 
@@ -175,8 +191,7 @@ class MonitoringStore:
         spec = schema.baseline
         # The monitoring plane starts at the simulation epoch: clamp
         # windows that reach before t=0.
-        first = max(0, int(np.ceil(t0 / spec.interval)))
-        last = int(np.floor(t1 / spec.interval))
+        first, last = sample_range(spec.interval, t0, t1)
         if last < first:
             return TimeSeries(np.empty(0), np.empty(0))
         indices = np.arange(first, last + 1, dtype=np.uint64)
@@ -203,8 +218,8 @@ class MonitoringStore:
         window, so the bin indices, timestamps and diurnal baseline are
         computed once and one broadcast :func:`normal_grid` call draws
         every row's noise; the floor applies once over the matrix, and
-        effects only touch rows of (dataset, component) pairs that have
-        one in the window.
+        one :meth:`_overlay_effects` pass touches only the rows of
+        (dataset, component) pairs with an effect in the window.
         """
         schema = self.schema(dataset)
         if schema.kind is not DataKind.TIME_SERIES:
@@ -217,8 +232,7 @@ class MonitoringStore:
                 i for i, c in enumerate(components) if schema.covers(c.kind)
             ]
         spec = schema.baseline
-        first = max(0, int(np.ceil(t0 / spec.interval)))
-        last = max(first - 1, int(np.floor(t1 / spec.interval)))
+        first, last = sample_range(spec.interval, t0, t1)
         indices = np.arange(first, last + 1, dtype=np.uint64)
         timestamps = indices.astype(float) * spec.interval
         rows = np.asarray(positions, dtype=np.intp)
@@ -228,19 +242,48 @@ class MonitoringStore:
         base = spec.mean + spec.diurnal_amp * np.sin(
             2.0 * np.pi * timestamps / _DAY
         )
-        seeds = np.array(
-            [self._series_seed(dataset, name) for name in names],
-            dtype=np.uint64,
-        )
+        seeds = self._series_seeds(dataset, names)
         values = base[np.newaxis, :] + spec.std * normal_grid(seeds, indices)
-        for row, name in enumerate(names):
-            if (dataset, name) in self._effects:
-                values[row] = self._apply_series_effects(
-                    dataset, name, timestamps, values[row]
-                )
+        self._overlay_effects(dataset, names, timestamps, values)
         if spec.floor is not None:
             np.maximum(values, spec.floor, out=values)
         return rows, timestamps, values
+
+    def _overlay_effects(
+        self,
+        dataset: str,
+        names: list[str],
+        timestamps: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Apply every effect in the window to its row of ``values``, in
+        place — the matrix form of :meth:`_apply_series_effects`.
+
+        The grid is sorted, so an effect's ``start <= t <= end`` mask is
+        one column slice found by binary search, and each element sees
+        the scalar path's arithmetic in the same effect order.
+        """
+        effects = self._effects
+        if not effects or len(timestamps) == 0:
+            return
+        t_lo = timestamps[0]
+        t_hi = timestamps[-1]
+        for row, name in enumerate(names):
+            for effect in effects.get((dataset, name), ()):
+                if effect.start > t_hi:
+                    break  # effects are kept sorted by start
+                if effect.end < t_lo:
+                    continue
+                lo = int(np.searchsorted(timestamps, effect.start, "left"))
+                hi = int(np.searchsorted(timestamps, effect.end, "right"))
+                segment = values[row, lo:hi]
+                if effect.mode == "shift":
+                    segment += effect.magnitude
+                elif effect.mode == "scale":
+                    segment *= effect.magnitude
+                elif effect.mode == "spike":
+                    dt = timestamps[lo:hi] - effect.start
+                    segment += effect.magnitude * np.exp(-dt / 600.0)
 
     def _apply_series_effects(
         self,
@@ -413,10 +456,7 @@ class MonitoringStore:
         first, last = _event_bins(t0, t1)
         if names and last >= first:
             indices = np.arange(first, last + 1, dtype=np.uint64)
-            seeds = np.array(
-                [self._series_seed(dataset, name) for name in names],
-                dtype=np.uint64,
-            )
+            seeds = self._series_seeds(dataset, names)
             for stream, event_type in enumerate(types):
                 lam = schema.events.rates[event_type] * _EVENT_BIN / _HOUR
                 counts[:, stream] = poisson_counts_grid(

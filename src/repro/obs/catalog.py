@@ -182,10 +182,11 @@ MONITORING_QUERIES_TOTAL = MetricFamily(
     help="Feature-builder monitoring-store matrix pulls by kind.",
     doc=(
         "feature-builder monitoring-store pulls (`series`, `event_counts`): "
-        "one per matrix query, which fetches every device a "
-        "(dataset, window) memo lacks; event features and CPD+ read "
-        "per-type counts, so materialized event pulls (`query_events`) "
-        "come only from direct store calls, which this counter does not see"
+        "one per matrix query of the per-call pull plan, which fetches "
+        "every device a Scout call reads from one dataset at one incident "
+        "time; event features and CPD+ read per-type counts, so "
+        "materialized event pulls (`query_events`) come only from direct "
+        "store calls, which this counter does not see"
     ),
 )
 
@@ -193,12 +194,14 @@ MONITORING_CACHE_HITS_TOTAL = MetricFamily(
     "monitoring_cache_hits_total",
     "counter",
     ("kind",),
-    help="Feature-builder device reads the per-incident memo already held.",
+    help="Feature-builder reads served without a store pull.",
     doc=(
-        "feature-builder device reads (`series`, `event_counts`) that the "
-        "per-incident memo already held, where reads a pull serves are not "
-        "hits; and feature vectors (`vector`) reused from the cross-incident "
-        "memo, one per `features` call that pulled nothing"
+        "feature-builder reads served without a store pull: CPD+ device "
+        "reads (`series`, `event_counts`) that a pull already in the "
+        "per-call plan holds, one per device read, where reads that pull "
+        "and feature builds are not hits; and feature vectors (`vector`) "
+        "reused from the cross-incident memo, one per `features` call "
+        "that pulled nothing"
     ),
 )
 

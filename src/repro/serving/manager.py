@@ -485,6 +485,23 @@ _TEAM_RANK = 1
 _COMMIT_RANK = 2
 
 
+def _thread(target, name: str, value) -> None:
+    """Set ``target.<name>`` to a manager's ``value`` unless the target
+    brought its own.
+
+    An unset attribute (None) is the manager's to fill, and so is one
+    that still holds the object a manager threaded in before (recorded
+    in ``target._threaded``).  Any other value is the target's own and
+    stays, and a target without the attribute (a test double) is left
+    alone.
+    """
+    current = getattr(target, name, False)
+    threaded = getattr(target, "_threaded", {})
+    if current is None or (name in threaded and current is threaded[name]):
+        setattr(target, name, value)
+        target._threaded = {**threaded, name: value}
+
+
 class IncidentManager:
     """Registers Scouts and serves routing suggestions for incidents.
 
@@ -653,24 +670,15 @@ class IncidentManager:
 
         Shared by :meth:`register`, :meth:`swap`, and
         :meth:`register_shadow` so a replacement or shadow model serves
-        under exactly the policies the original did.
+        under exactly the policies the original did.  The policies
+        belong to the manager that registered the Scout last, unless
+        the Scout brought its own (:func:`_thread`).
         """
-        if (
-            self.retry_policy is not None
-            and getattr(scout, "retry_policy", False) is None
-        ):
-            # Thread the manager's retry policy into the Scout's
-            # monitoring pulls unless the Scout brought its own.
-            scout.retry_policy = self.retry_policy
-        if getattr(scout, "obs", False) is None:
-            # Same pattern for observability: the Scout's stage spans
-            # and counters land in the manager's registry unless the
-            # Scout brought its own sink.
-            scout.obs = self.obs
+        _thread(scout, "retry_policy", self.retry_policy)
+        _thread(scout, "obs", self.obs)
         builder = getattr(scout, "builder", None)
         if builder is not None:
-            if getattr(builder, "obs", False) is None:
-                builder.obs = self.obs
+            _thread(builder, "obs", self.obs)
             # Start from empty memos, so this manager's pull and hit
             # counters depend only on the incidents it serves.
             builder.clear_cache()

@@ -275,9 +275,9 @@ class TestIncidentCacheScope:
         locator = builder.config.monitoring[0].locator
         t = 86400.0 * 320
         builder.series_rows(locator, [device], t - 3600.0, t)
-        assert builder._series_memo
+        assert builder._plan
         builder.clear_cache()
-        assert not builder._series_memo
+        assert not builder._plan
 
 
 # -- satellite: cached path == live path -------------------------------------

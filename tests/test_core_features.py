@@ -10,7 +10,7 @@ from repro.core import ComponentExtractor, FeatureBuilder, STAT_NAMES
 from repro.core.features import _stats
 from repro.core.selector import Route
 from repro.datacenter import ComponentKind
-from repro.monitoring import FailureEffect, FakeClock
+from repro.monitoring import FailureEffect, FakeClock, MonitoringStore
 from repro.obs import Observability
 from tests.oracles import reference_stats
 
@@ -60,11 +60,9 @@ class TestCacheLifetimes:
         device = sim.topology.components(ComponentKind.SWITCH)[0]
         locator = builder.config.monitoring[0].locator
         builder.series_rows(locator, [device], _T - 7200.0, _T)
-        assert builder._series_memo
+        assert builder._plan
         builder.clear_cache()
-        assert not builder._series_memo
-        assert not builder._norm_memo
-        assert not builder._type_counts_memo
+        assert not builder._plan
 
     def test_observables_memo_survives_clear_cache(self, builder, sim):
         cluster = sim.topology.components(ComponentKind.CLUSTER)[0]
@@ -268,20 +266,18 @@ class TestMaterializedEventReference:
     """
 
     @staticmethod
-    def _pull_events_materialized(self, feature, components, t):
-        if not self.store.is_active(feature.locator):
-            return float("nan")
-        T = self.config.lookback
-        kinds = self.store.schema(feature.locator).component_kinds
-        count = 0
-        for component in components:
-            for device in self._observables(component, kinds):
-                events = self.store.query_events(
-                    feature.locator, device, t - T, t
-                )
-                if events is not None:
-                    count += events.count_of(feature.event_type)
-        return float(count)
+    def _counts_matrix_materialized(self, dataset, components, t0, t1):
+        # The schema-type columns the feature path reads, counted from
+        # materialized events.
+        types = sorted(self.schema(dataset).events.rates)
+        positions, rows = [], []
+        for position, device in enumerate(components):
+            events = self.query_events(dataset, device, t0, t1)
+            if events is not None:
+                positions.append(position)
+                rows.append([events.count_of(t) for t in types])
+        counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(types))
+        return np.array(positions, dtype=np.intp), tuple(types), counts
 
     @staticmethod
     def _device_counts_materialized(self, locator, devices, t0, t1, event_type):
@@ -320,7 +316,8 @@ class TestMaterializedEventReference:
         got = self._run(scout, subset)
         monkeypatch.setattr(features_module, "_stats", reference_stats)
         monkeypatch.setattr(
-            FeatureBuilder, "_pull_events", self._pull_events_materialized
+            MonitoringStore, "query_event_type_counts_matrix",
+            self._counts_matrix_materialized,
         )
         monkeypatch.setattr(
             FeatureBuilder, "device_type_counts",

@@ -128,7 +128,7 @@ def drive(clock_start: float, reverse: bool) -> dict:
     clock = FakeClock(clock_start)
     _fresh(
         scouts, store,
-        FaultPlan(seed=5, error_rate=0.1, latency_seconds=0.125), clock,
+        FaultPlan(seed=5, error_rate=0.3, latency_seconds=0.125), clock,
     )
     manager = _manager(sim, scouts, clock, reverse)
     for incident in served[:10]:
@@ -144,7 +144,7 @@ def drive(clock_start: float, reverse: bool) -> dict:
     clock = FakeClock(clock_start)
     _fresh(
         scouts, store,
-        FaultPlan(seed=6, error_rate=0.1, latency_seconds=0.125), clock,
+        FaultPlan(seed=6, error_rate=0.3, latency_seconds=0.125), clock,
     )
     manager = _manager(sim, scouts, clock, reverse)
     server = StreamServer(
@@ -176,7 +176,7 @@ def drive(clock_start: float, reverse: bool) -> dict:
     clock = FakeClock(clock_start)
     _fresh(
         scouts, store,
-        FaultPlan(seed=7, error_rate=0.02, latency_seconds=0.125), clock,
+        FaultPlan(seed=7, error_rate=0.08, latency_seconds=0.125), clock,
     )
     manager = _manager(sim, scouts, clock, reverse)
     next_id = max(incident.incident_id for incident in served) + 1

@@ -2,10 +2,12 @@
 
 ``FaultPlan`` schedules faults by 1-based query *ordinal*, so a change to
 the number or order of store queries on the feature path would silently
-re-time every fault drill.  On that path every query is a matrix pull:
-one ``query_series_matrix`` or ``query_event_type_counts_matrix`` call
-per (dataset, window) memo miss, covering all the devices the memo
-lacks, for feature builds and CPD+ alike.  This module serves a fixed seeded
+re-time every fault drill.  On that path every query is a matrix pull
+of the builder's per-call plan: one ``query_series_matrix`` per
+time-series dataset (look-back window plus reference for a feature
+build, look-back window only for a CPD+-only call), then one
+``query_event_type_counts_matrix`` per event dataset, each covering
+every device the call reads from that dataset.  This module serves a fixed seeded
 workload — dataset builds and training for PhyNet plus the four starter
 Scouts, then live predictions — over a ``FaultyStore`` with a no-fault
 plan, and compares every gated query's ``(ordinal, dataset)`` with the

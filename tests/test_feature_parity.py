@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 from repro.config import team_scout_configs
 from repro.core import ComponentExtractor, FeatureBuilder
 from repro.core.cpd_plus import CPDPlus
+from repro.core.extraction import ExtractedComponents
 from repro.datacenter import ComponentKind
-from repro.monitoring import FailureEffect
+from repro.monitoring import FailureEffect, FaultPlan, FaultyStore
 from repro.monitoring.base import DataKind
+from repro.monitoring.faults import TransientMonitoringError
 from repro.monitoring.store import _event_bins
 from tests.oracles import OracleFeatureBuilder, oracle_cpd_signals
 
@@ -274,3 +276,153 @@ def test_matrix_queries_match_scalar(
     finally:
         store.restore_effects(snapshot)
         store.activate(name)
+
+
+# -- the per-call pull plan -----------------------------------------------------
+
+_GRID = 300.0  # every time-series dataset samples on this grid
+
+
+class _RecordingStore(FaultyStore):
+    """A fault-free ``FaultyStore`` logging ``(kind, dataset, t0, t1)``
+    per matrix pull."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner, FaultPlan())
+        self.pulls: list[tuple[str, str, float, float]] = []
+
+    def query_series_matrix(self, dataset, components, t0, t1):
+        self.pulls.append(("series", dataset, t0, t1))
+        return super().query_series_matrix(dataset, components, t0, t1)
+
+    def query_event_type_counts_matrix(self, dataset, components, t0, t1):
+        self.pulls.append(("event_counts", dataset, t0, t1))
+        return super().query_event_type_counts_matrix(
+            dataset, components, t0, t1
+        )
+
+
+def _twice_reached(sim, builder, pick: int) -> ExtractedComponents:
+    """A cluster, its DC, and one switch and one server the cluster
+    observes, so each leaf is reached through two or three components."""
+    clusters = sim.topology.components(ComponentKind.CLUSTER)
+    cluster = clusters[pick % len(clusters)]
+    mentioned = [cluster, sim.topology.container(cluster.name, ComponentKind.DC)]
+    for kind in (ComponentKind.SWITCH, ComponentKind.SERVER):
+        observed = builder._observables(cluster, frozenset({kind}))
+        mentioned.append(observed[(pick // 7) % len(observed)])
+    return ExtractedComponents(mentioned=mentioned)
+
+
+def _check_call_orders(sim, team, extracted, t) -> None:
+    """Vectors, CPD+ signals and triggers equal the oracle's whichever
+    read opens the plan: features then CPD+ (a dataset build), CPD+
+    alone (the unsupervised route), and CPD+ then features (the plan
+    widens a window-only pull to the reference)."""
+    team.oracle.clear_cache()
+    want = team.oracle.features(extracted, t).tobytes()
+    want_signals, want_triggers = oracle_cpd_signals(
+        team.cpd, team.oracle, extracted, t
+    )
+    for order in (("features", "cpd"), ("cpd",), ("cpd", "features")):
+        team.builder.clear_cache()
+        for step in order:
+            if step == "features":
+                assert team.builder.features(extracted, t).tobytes() == want
+            else:
+                signals, triggers = team.cpd.signals(extracted, t)
+                assert signals.tobytes() == want_signals.tobytes()
+                assert triggers == want_triggers
+
+
+@_SETTINGS
+@given(
+    pick=st.integers(0, 10**6),
+    # t - T in grid steps: reaching before the epoch (reference clamped,
+    # or the look-back window itself), or anywhere in the history.
+    steps=st.one_of(st.integers(-20, 80), st.integers(80, 34000)),
+    off_grid=st.one_of(st.just(0.0), st.floats(1.0, _GRID - 1.0)),
+    straddle=st.lists(
+        st.tuples(
+            st.sampled_from(["shift", "scale", "spike", "burst"]),
+            st.tuples(
+                st.floats(0.0, 3 * _GRID),  # starts this far before t - T
+                st.floats(0.0, 6 * _GRID),
+                st.floats(0.5, 8.0),
+            ),
+        ),
+        max_size=3,
+    ),
+    deactivate=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_pull_plan_matches_oracle(
+    sim, teams, pick, steps, off_grid, straddle, deactivate
+):
+    team = teams[pick % len(teams)]
+    T = team.builder.config.lookback
+    t = T + steps * _GRID + off_grid
+    extracted = _twice_reached(sim, team.builder, pick)
+    store = sim.store
+    snapshot = store.snapshot_effects()
+    modes = [
+        (mode, (-T - before, length, magnitude))
+        for mode, (before, length, magnitude) in straddle
+    ]
+    inactive = None
+    if deactivate is not None:
+        locators = sorted({ref.locator for ref in team.builder.config.monitoring})
+        inactive = locators[deactivate % len(locators)]
+    try:
+        for effect in _effects_for(
+            store, extracted, lambda offset: t + offset, modes
+        ):
+            store.inject(effect)
+        if inactive is not None:
+            store.deactivate(inactive)
+        _check_call_orders(sim, team, extracted, t)
+    finally:
+        store.restore_effects(snapshot)
+        if inactive is not None:
+            store.activate(inactive)
+
+
+def test_one_pull_per_locator_and_cpd_pulls_no_reference(sim, teams, scoped):
+    for index, extracted, t in scoped[::3]:
+        team = teams[index]
+        config = team.builder.config
+        T = config.lookback
+        ref_start = t - T - config.reference_multiple * T
+        recorder = _RecordingStore(sim.store)
+        builder = FeatureBuilder(config, sim.topology, recorder)
+        cpd = CPDPlus(builder)
+        builder.features(extracted, t)
+        pulled = [(kind, dataset) for kind, dataset, _, _ in recorder.pulls]
+        assert len(pulled) == len(set(pulled))  # one pull per locator
+        assert all(
+            (t0, t1) == ((ref_start, t) if kind == "series" else (t - T, t))
+            for kind, _, t0, t1 in recorder.pulls
+        )
+        # CPD+ after a feature build reads the plan's pulls.
+        cpd.signals(extracted, t)
+        assert [(k, d) for k, d, _, _ in recorder.pulls] == pulled
+        # A CPD+-only call pulls the look-back window alone, once.
+        builder.clear_cache()
+        del recorder.pulls[:]
+        cpd.signals(extracted, t)
+        assert sorted((k, d) for k, d, _, _ in recorder.pulls) == sorted(pulled)
+        assert all((t0, t1) == (t - T, t) for _, _, t0, t1 in recorder.pulls)
+
+
+def test_a_retry_reissues_only_the_failed_pull(sim, teams, scoped):
+    index, extracted, t = scoped[0]
+    config = teams[index].builder.config
+    recorder = _RecordingStore(sim.store)
+    FeatureBuilder(config, sim.topology, recorder).features(extracted, t)
+    assert len(recorder.pulls) >= 3
+    faulty = FaultyStore(sim.store, FaultPlan(fail_queries=frozenset({3})))
+    builder = FeatureBuilder(config, sim.topology, faulty)
+    with pytest.raises(TransientMonitoringError):
+        builder.features(extracted, t)
+    vector = builder.features(extracted, t)  # what a retry does
+    assert faulty.queries == len(recorder.pulls) + 1
+    assert vector.tobytes() == teams[index].oracle.features(extracted, t).tobytes()

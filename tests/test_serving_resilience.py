@@ -28,6 +28,7 @@ from repro.serving import (
     RetryPolicy,
 )
 from repro.analysis import availability_report, per_team_outcomes
+from repro.obs import Observability
 from repro.simulation import default_teams
 from repro.simulation.teams import DNS, PHYNET, STORAGE
 
@@ -590,5 +591,61 @@ def test_manager_isolates_real_scout_monitoring_outage(
         scout.retry_policy = None
         # register() wired the session scout's sinks into this test's
         # manager; unhook them so later suites adopt their own.
+        scout.obs = None
+        scout.builder.obs = None
+
+
+def _retrying_manager(clock):
+    return IncidentManager(
+        default_teams(),
+        clock=clock,
+        retry=RetryPolicy(
+            max_attempts=2, backoff_seconds=0.25, sleep=clock.advance
+        ),
+    )
+
+
+def test_second_manager_owns_the_policies_it_threads(scout, incidents):
+    # A Scout registered with manager A and then with manager B serves
+    # under B's retry policy and sink: a faulted pull backs off on B's
+    # clock, and A's clock and counters stay untouched.
+    incident = _monitoring_backed_incident(scout, incidents)
+    healthy_store = scout.builder.store
+    clock_a, clock_b = FakeClock(), FakeClock()
+    first, second = _retrying_manager(clock_a), _retrying_manager(clock_b)
+    try:
+        first.register(scout)
+        second.register(scout)
+        assert scout.retry_policy is second.retry_policy
+        assert scout.obs is second.obs and scout.builder.obs is second.obs
+        scout.builder.store = FaultyStore(healthy_store, FaultPlan(fail_first=1))
+        (outcome,) = second.handle(incident).outcomes
+        assert outcome.status is CallStatus.OK
+        assert clock_b.now == 0.25
+        assert clock_a.now == 0.0
+        retries = "scout_retry_attempts_total"
+        assert second.obs.metrics.get(retries).total() == 1
+        assert first.obs.metrics.get(retries) is None
+    finally:
+        scout.builder.store = healthy_store
+        scout.retry_policy = None
+        scout.obs = None
+        scout.builder.obs = None
+
+
+def test_a_scouts_own_policies_survive_registration(scout):
+    own_policy = RetryPolicy(max_attempts=3, sleep=lambda s: None)
+    own_obs = Observability()
+    try:
+        _retrying_manager(FakeClock()).register(scout)
+        scout.retry_policy = own_policy
+        scout.obs = own_obs
+        scout.builder.obs = own_obs
+        manager = _retrying_manager(FakeClock())
+        manager.register(scout)
+        assert scout.retry_policy is own_policy
+        assert scout.obs is own_obs and scout.builder.obs is own_obs
+    finally:
+        scout.retry_policy = None
         scout.obs = None
         scout.builder.obs = None

@@ -254,18 +254,10 @@ def test_memo_evicts_oldest_at_its_cap_and_is_not_pickled(sim, pool):
 # -- storms through the manager -------------------------------------------------
 
 
-def _reset_scout(scout) -> None:
-    """Detach the session Scout from the last manager's policies."""
-    scout.obs = None
-    scout.retry_policy = None
-    scout.builder.obs = None
-    scout.builder.clear_cache()
-
-
 def test_faulted_storm_batch_matches_handle_loop_byte_identically(
     scout, incidents
 ):
-    """Storm copies over a store failing 2% of its queries, with
+    """Storm copies over a store failing 8% of its queries, with
     retries: the memo hits, calls fail, breakers trip, and a burst
     through ``handle_batch`` equals the same ``handle`` loop byte for
     byte."""
@@ -278,9 +270,8 @@ def test_faulted_storm_batch_matches_handle_loop_byte_identically(
 
     def run(batch: bool):
         clock = FakeClock()
-        _reset_scout(scout)
         scout.builder.store = FaultyStore(
-            healthy_store, FaultPlan(seed=3, error_rate=0.02)
+            healthy_store, FaultPlan(seed=3, error_rate=0.08)
         )
         manager = IncidentManager(
             default_teams(),
@@ -312,7 +303,6 @@ def test_faulted_storm_batch_matches_handle_loop_byte_identically(
         batch = run(batch=True)
     finally:
         scout.builder.store = healthy_store
-        _reset_scout(scout)
     assert batch[0] == serial[0]
     assert repr(batch[1]) == repr(serial[1])
     assert batch[2] == serial[2]
