@@ -97,28 +97,19 @@ class CPDPlus:
         schema = self.builder.schema
         vector = np.zeros(len(schema.ts_groups) + len(schema.event_features))
         triggers: list[str] = []
-        # One look-back pull per locator, read below group by group.
-        self.builder.pull_windows(extracted, t)
+        # The feature build's reads, resolved once by the builder's pull
+        # plan: the same component -> device expansion (a device
+        # mentioned via two components deliberately counts twice, as it
+        # always has), each read with its raw look-back window.
+        groups, events = self.builder.look_back(extracted, t)
 
-        for g, group in enumerate(schema.ts_groups):
-            components = extracted.of_kind(group.kind)
-            if not components:
-                continue
+        for g, (group, reads) in enumerate(zip(schema.ts_groups, groups)):
             detections = 0
             devices = 0
-            for locator in group.locators:
-                if not self.store.is_active(locator):
-                    continue
-                # Same component→device expansion order as the feature
-                # pulls (duplicate devices mentioned via two components
-                # deliberately count twice, as they always have).
-                devs = self.builder._devices(locator, components)
-                positions, rows = self.builder.series_rows(
-                    locator, devs, t - T, t
-                )
+            for read, rows in reads or ():
                 if rows.shape[1] < 6:
                     continue
-                devices += len(positions)
+                devices += len(read.positions)
                 # All rows share the locator's sampling grid, so the
                 # whole group CUSUM-scans as one matrix.
                 hits = self.detector.detect_any(rows)
@@ -130,28 +121,20 @@ class CPDPlus:
                 if group.kind in _LEAF_KINDS:
                     for k in np.flatnonzero(hits).tolist():
                         triggers.append(
-                            f"change-point in {locator} on "
-                            f"{devs[positions[k]].name}"
+                            f"change-point in {read.locator} on "
+                            f"{read.names[read.positions[k]]}"
                         )
             if devices:
                 vector[g] = detections / devices
 
         offset = len(schema.ts_groups)
-        for e, feature in enumerate(schema.event_features):
-            components = extracted.of_kind(feature.kind)
-            if not components:
+        for e, (feature, reads) in enumerate(zip(schema.event_features, events)):
+            if not reads:
                 continue
-            if not self.store.is_active(feature.locator):
-                continue
-            rate = self.store.schema(feature.locator).events.rates[
+            ((read, counts),) = reads
+            rate = self.store.schema(read.locator).events.rates[
                 feature.event_type
             ]
-            devs_all = self.builder._devices(feature.locator, components)
-            # Counts only (no event is materialized), served from the
-            # plan's count pull; -1 marks no data.
-            counts = self.builder.device_type_counts(
-                feature.locator, devs_all, t - T, t, feature.event_type
-            )
             expected = rate * T / 3600.0
             # Poisson upper-tail test: flag counts beyond the ~95%
             # envelope of the healthy rate, and never on a single
@@ -162,10 +145,10 @@ class CPDPlus:
                 for k in abnormal:
                     triggers.append(
                         f"{counts[k]}x {feature.event_type} events in "
-                        f"{feature.locator} on {devs_all[k].name}"
+                        f"{read.locator} on {read.names[read.positions[k]]}"
                     )
-            if devs_all:
-                vector[offset + e] = len(abnormal) / len(devs_all)
+            if read.names:
+                vector[offset + e] = len(abnormal) / len(read.names)
         return vector, triggers
 
     # -- scope ---------------------------------------------------------------

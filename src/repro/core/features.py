@@ -23,15 +23,18 @@ walk of the schema collects every device each dataset is read for,
 then one matrix pull per time-series dataset covers the look-back
 window and its reference as one contiguous span (split by sample
 index, z-scored in one reduction), and one count pull per event
-dataset covers the look-back window.  Every group and event feature
-is then an index gather over those matrices, and CPD+ reads its
-look-back windows out of the same pulls.
+dataset covers the look-back window.  The plan resolves every read of
+a group or event feature once — its devices, the rows of the pull that
+hold them and, for events, the count column — and both consumers read
+that one result: a feature is an index gather over the z-scored rows,
+and CPD+ (:meth:`FeatureBuilder.look_back`) takes the raw look-back
+columns of the same rows.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,9 +78,14 @@ class _TsGroup:
 
 @dataclass(frozen=True)
 class _EventFeature:
+    """One event type's count; ``column`` is its column of the
+    dataset's count pull (the store lists the schema's types first,
+    sorted)."""
+
     kind: ComponentKind
     locator: str
     event_type: str
+    column: int
 
 
 class FeatureSchema:
@@ -100,9 +108,11 @@ class FeatureSchema:
                     else:
                         singles.append((ref.locator, ref.locator))
                 else:
-                    for event_type in sorted(schema.events.rates):
+                    for column, event_type in enumerate(
+                        sorted(schema.events.rates)
+                    ):
                         self.event_features.append(
-                            _EventFeature(kind, ref.locator, event_type)
+                            _EventFeature(kind, ref.locator, event_type, column)
                         )
             for class_tag in sorted(by_class):
                 self.ts_groups.append(
@@ -175,21 +185,22 @@ def _stats(pooled: np.ndarray) -> np.ndarray:
 
 
 class _Pull:
-    """One matrix pull of the per-call plan: the distinct devices it
-    fetched, the start of its span, and device name -> row.
+    """One matrix pull of the per-call plan: the start of its span and
+    device name -> row.
 
-    ``index`` maps each device to its row of ``values``, or to -1 when
-    the store has no data for it (inactive dataset, uncovered kind).  A
-    series pull's columns are the sampling grid from ``t0`` to its key's
-    time; ``normalized`` caches its look-back rows z-scored against
-    their reference once a feature build asks for them.
+    ``index`` maps each device it fetched to its row of ``values``, or
+    to -1 when the store has no data for it (inactive dataset,
+    uncovered kind).  A series pull's columns are the sampling grid
+    (step ``interval``) from ``t0`` to its key's time; ``normalized``
+    caches its look-back rows z-scored against their reference once a
+    feature build asks for them.
     """
 
-    __slots__ = ("t0", "devices", "index", "values", "normalized")
+    __slots__ = ("t0", "interval", "index", "values", "normalized")
 
-    def __init__(self, t0, devices, positions, values) -> None:
+    def __init__(self, t0, interval, devices, positions, values) -> None:
         self.t0 = t0
-        self.devices = devices
+        self.interval = interval
         self.index = dict.fromkeys((device.name for device in devices), -1)
         for row, position in enumerate(positions):
             self.index[devices[position].name] = row
@@ -202,34 +213,35 @@ class _Pull:
         positions = [k for k, row in enumerate(idx) if row >= 0]
         return positions, [idx[k] for k in positions]
 
-    def column(self, names, col: int) -> np.ndarray:
-        """Column ``col`` of each name's row, -1 where there is no data."""
-        idx = np.array([self.index[name] for name in names], dtype=np.intp)
-        if not len(self.values):
-            return np.full(len(idx), -1, dtype=np.int64)
-        return np.where(idx >= 0, self.values[idx, col], -1)
+    def columns(self, t0: float, t1: float) -> np.ndarray:
+        """A series pull's columns sampling ``[t0, t1]``, found with the
+        store's grid arithmetic (epoch clamp included)."""
+        first = sample_range(self.interval, self.t0, t1)[0]
+        lo, hi = sample_range(self.interval, t0, t1)
+        return self.values[:, lo - first : hi + 1 - first]
 
 
-def _publishes_counts(method):
-    """Flush the builder's tallied counter ticks when the outermost
-    public call returns or raises (see :meth:`FeatureBuilder._count`).
+class _Read(NamedTuple):
+    """One dataset read of a time-series group or event feature,
+    resolved against the plan's pull of its locator.
 
-    The call depth is plain instance state: like the memos, it relies on
-    a builder being driven by one thread at a time (the serving
-    manager's per-team lock).
+    ``names`` are the observed devices in component order (a device
+    reached through two components appears twice), ``positions`` the
+    ones the store has data for and ``rows`` their rows of ``pull``;
+    ``column`` is an event feature's count column (-1 for a series
+    read).
     """
 
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        self._call_depth += 1
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            self._call_depth -= 1
-            if not self._call_depth and self._pending_counts:
-                self._flush_counts()
+    locator: str
+    names: list[str]
+    positions: list[int]
+    rows: list[int]
+    pull: _Pull
+    column: int = -1
 
-    return wrapper
+    def counts(self) -> np.ndarray:
+        """An event read's counts of its feature's type, one per position."""
+        return self.pull.values[self.rows, self.column]
 
 
 class FeatureBuilder:
@@ -250,9 +262,10 @@ class FeatureBuilder:
         # workers) always see every memo:
         #
         # * per-call — ``_plan`` maps (locator, t) to a series _Pull and
-        #   (locator, t0, t1) to a count _Pull.  A Scout call's retries
-        #   keep it, so a retry re-issues only the pull that failed;
-        #   clear_rows() resets it between incidents;
+        #   (locator, t0, t1) to a count _Pull.  A feature build and a
+        #   CPD+ call at the same ``t`` read the same pulls, and a Scout
+        #   call's retries keep them, so a retry re-issues only the pull
+        #   that failed; clear_rows() resets it between incidents;
         # * cross-incident — ``_vector_memo`` maps (incident time,
         #   component names per config kind) to the finished feature
         #   vector, oldest-first evicted at _VECTOR_CAP entries.  It is
@@ -263,24 +276,19 @@ class FeatureBuilder:
         # * topology-lifetime — ``_observables_memo`` maps a container
         #   component to its observable leaf devices, which depends only
         #   on the (immutable) topology and config, so clear_cache()
-        #   deliberately keeps it (as it keeps ``_count_types_memo``,
-        #   the count-pull columns per event dataset).
+        #   deliberately keeps it.
         self._plan: dict[tuple, _Pull] = {}
         self._vector_memo: dict[tuple, np.ndarray] = {}
         self._vector_stamp: tuple | None = None
         self._observables_memo: dict = {}
-        self._count_types_memo: dict[str, list[str]] = {}
         # Observability sink (None = un-instrumented): counts store
         # queries vs. plan hits.  Threaded in by the incident manager
         # at Scout registration or by an instrumented framework; the
         # obs objects pickle cleanly, so parallel dataset builds that
-        # ship builders to workers keep working.  Ticks tally in
-        # _pending_counts and flush when the outermost public call
-        # (depth _call_depth) exits.
+        # ship builders to workers keep working.  Each tick goes
+        # straight to a counter handle bound on first use.
         self._obs = None
         self._bound_counters: dict = {}
-        self._pending_counts: dict = {}
-        self._call_depth = 0
 
     def __getstate__(self) -> dict:
         # Counter handles belong to this process's registry: workers
@@ -289,7 +297,6 @@ class FeatureBuilder:
         # it would only add bytes to every pickle.
         state = self.__dict__.copy()
         state["_bound_counters"] = {}
-        state["_pending_counts"] = {}
         state["_vector_memo"] = {}
         state["_vector_stamp"] = None
         return state
@@ -302,34 +309,22 @@ class FeatureBuilder:
     def obs(self, value) -> None:
         self._obs = value
         self._bound_counters = {}  # handles belong to the old registry
-        self._pending_counts = {}
 
     def _count(self, family: MetricFamily, kind: str, n: int = 1) -> None:
-        """Tally ``n`` ticks of a ``kind``-labelled counter family.
+        """Tick a ``kind``-labelled counter family by ``n``.
 
-        A feature build ticks once per pull, so ticks accumulate per
-        (family, kind) and reach the registry once per public builder
-        call (:func:`_publishes_counts` flushes them in a ``finally``)
-        — the counters are exact whenever no builder call is in
-        flight.  The handle is bound on first use.
+        A Scout call ticks a handful of times (one per pull, one per
+        CPD+ read, one per vector hit), so each tick increments at once
+        through a handle bound on first use.
         """
         if self._obs is None:
             return
         key = (family.name, kind)
-        pending = self._pending_counts
-        if key in pending:
-            pending[key] += n
-            return
-        if key not in self._bound_counters:
-            counter = self._obs.metrics.counter(family)
-            self._bound_counters[key] = counter.bind(kind=kind)
-        pending[key] = n
-
-    def _flush_counts(self) -> None:
-        """Publish the tallied ticks (one increment per label set)."""
-        pending, self._pending_counts = self._pending_counts, {}
-        for key, n in pending.items():
-            self._bound_counters[key].inc(n)
+        counter = self._bound_counters.get(key)
+        if counter is None:
+            counter = self._obs.metrics.counter(family).bind(kind=kind)
+            self._bound_counters[key] = counter
+        counter.inc(n)
 
     def clear_rows(self) -> None:
         """Drop the per-call plan's pulls (call between incidents).
@@ -352,58 +347,54 @@ class FeatureBuilder:
 
     # -- the per-call plan ------------------------------------------------
 
-    def _serve(self, kind, locator, devices, t0, t1, hits=False) -> _Pull:
+    def _serve(self, kind, locator, devices, t0, t1) -> _Pull:
         """The plan's pull holding ``devices`` over ``[t0, t1]``.
 
         A series pull keys on (locator, t1) and serves every window
         ending at ``t1`` that starts inside its span; a count pull keys
-        on its exact window.  A held read counts one hit per device
-        when ``hits`` is set (a CPD+ read).  Otherwise one matrix query
-        (one ``kind`` query tick) pulls the distinct devices of the held
-        pull and of this read, over both spans, and replaces the pull.
+        on its exact window.  A held pull that covers the read is
+        returned as is.  Otherwise one matrix query (one ``kind`` query
+        tick) pulls the read's distinct devices over its span and
+        replaces the held pull.
         """
         series = kind == "series"
         key = (locator, t1) if series else (locator, t0, t1)
         pull = self._plan.get(key)
-        if pull is not None:
-            index = pull.index
-            if pull.t0 <= t0 and all(d.name in index for d in devices):
-                if hits:
-                    self._count(_CACHE_HITS, kind, len(devices))
-                return pull
-            devices = pull.devices + list(devices)
-            t0 = min(t0, pull.t0)
+        if (
+            pull is not None
+            and pull.t0 <= t0
+            and all(device.name in pull.index for device in devices)
+        ):
+            return pull
         distinct = list({device.name: device for device in devices}.values())
         self._count(_QUERIES, kind)
         if series:
+            interval = self.store.schema(locator).baseline.interval
             positions, _, values = self.store.query_series_matrix(
                 locator, distinct, t0, t1
             )
         else:
-            positions, types, counts = self.store.query_event_type_counts_matrix(
+            interval = None
+            positions, _, values = self.store.query_event_type_counts_matrix(
                 locator, distinct, t0, t1
             )
-            values = counts[:, [types.index(t) for t in self._count_types(locator)]]
-        pull = self._plan[key] = _Pull(t0, distinct, positions.tolist(), values)
+        pull = self._plan[key] = _Pull(
+            t0, interval, distinct, positions.tolist(), values
+        )
         return pull
 
-    def _count_types(self, locator: str) -> list[str]:
-        """The count-pull columns of an event dataset: its schema types."""
-        types = self._count_types_memo.get(locator)
-        if types is None:
-            types = sorted(self.store.schema(locator).events.rates)
-            self._count_types_memo[locator] = types
-        return types
-
     def _pull_plan(self, extracted: ExtractedComponents, t: float, t0: float):
-        """Walk the schema once and issue the pulls its reads need.
+        """Walk the schema once, issue the pulls its reads need, and
+        resolve every read against them.
 
         Returns the reads of each time-series group and event feature:
-        None when no component of its kind was extracted, else the
-        (locator, device names) of every active locator.  Each series
-        locator is pulled once over ``[t0, t]`` and each event locator
-        over ``[t - T, t]``, for the union of its reads' devices; a pull
-        the plan holds is not re-issued (a retry pulls what failed).
+        None when no component of its kind was extracted, else one
+        :class:`_Read` per active locator.  Each series locator is
+        pulled once over ``[t0, t]`` and each event locator over
+        ``[t - T, t]``, for the union of its reads' devices; a pull the
+        plan holds is not re-issued (a retry pulls what failed).  This
+        is the only place a read's devices and rows are worked out:
+        feature builds and CPD+ both read its result.
         """
         T = self.config.lookback
         store = self.store
@@ -411,7 +402,7 @@ class FeatureBuilder:
         for component in extracted.all:
             by_kind.setdefault(component.kind, []).append(component)
         unions: dict[str, list[Component]] = {}
-        walked: dict[tuple, list] = {}
+        walked: dict[tuple, list[str]] = {}
 
         def reads(kind, locators):
             components = by_kind.get(kind)
@@ -421,45 +412,57 @@ class FeatureBuilder:
             for locator in locators:
                 if not store.is_active(locator):
                     continue
-                names = walked.get((kind, locator))
-                if names is None:
+                key = (kind, locator)
+                if key not in walked:
                     devices = self._devices(locator, components)
                     unions.setdefault(locator, []).extend(devices)
-                    names = walked[(kind, locator)] = [d.name for d in devices]
-                out.append((locator, names))
+                    walked[key] = [d.name for d in devices]
+                out.append(key)
             return out
 
         groups = [reads(g.kind, g.locators) for g in self.schema.ts_groups]
         events = [
             reads(f.kind, (f.locator,)) for f in self.schema.event_features
         ]
+        pulls = {}
         for locator, devices in unions.items():
             if store.schema(locator).kind is DataKind.TIME_SERIES:
-                self._serve("series", locator, devices, t0, t)
+                pulls[locator] = self._serve("series", locator, devices, t0, t)
             else:
-                self._serve("event_counts", locator, devices, t - T, t)
-        return groups, events
+                pulls[locator] = self._serve(
+                    "event_counts", locator, devices, t - T, t
+                )
+        resolved = {
+            key: _Read(key[1], names, *pulls[key[1]].rows(names), pulls[key[1]])
+            for key, names in walked.items()
+        }
+        return (
+            [
+                None if keys is None else [resolved[key] for key in keys]
+                for keys in groups
+            ],
+            [
+                None if keys is None
+                else [resolved[key]._replace(column=f.column) for key in keys]
+                for f, keys in zip(self.schema.event_features, events)
+            ],
+        )
 
-    def _normalized(self, locator: str, t: float) -> np.ndarray:
-        """The (locator, ``t``) pull's look-back rows, z-scored.
+    def _normalized(self, pull: _Pull, t: float) -> np.ndarray:
+        """A series pull's look-back rows, z-scored.
 
         Each look-back window ``[t - T, t]`` is z-scored against its
         trailing reference window (against itself when the reference
         holds under two samples; a zero spread divides by 1).  Both are
-        column slices of the one pull, found with the store's grid
-        arithmetic, and every row reduces in one ``axis=1`` pass.
+        column slices of the one pull, and every row reduces in one
+        ``axis=1`` pass.
         """
-        pull = self._plan[(locator, t)]
         if pull.normalized is None:
             T = self.config.lookback
-            ref_span = self.config.reference_multiple * T
-            interval = self.store.schema(locator).baseline.interval
-            first = sample_range(interval, pull.t0, t)[0]
-            lo, hi = sample_range(interval, t - T, t)
-            windows = pull.values[:, lo - first : hi + 1 - first]
+            windows = pull.columns(t - T, t)
             if windows.size:
-                lo, hi = sample_range(interval, t - T - ref_span, t - T)
-                references = pull.values[:, lo - first : hi + 1 - first]
+                ref_span = self.config.reference_multiple * T
+                references = pull.columns(t - T - ref_span, t - T)
                 if references.shape[1] < 2:
                     references = windows
                 means = references.mean(axis=1)
@@ -471,49 +474,36 @@ class FeatureBuilder:
 
     # -- CPD+ reads ---------------------------------------------------------
 
-    @_publishes_counts
-    def pull_windows(self, extracted: ExtractedComponents, t: float) -> None:
-        """Plan CPD+'s reads of one incident: its look-back windows only.
+    def look_back(self, extracted: ExtractedComponents, t: float):
+        """CPD+'s view of one incident: the plan's reads, each paired
+        with its raw values over the look-back window ``[t - T, t]``.
 
-        After a feature build at ``t`` the plan already holds them (the
-        pulls reach back to the reference), and nothing is pulled.
+        Returns ``(groups, events)`` shaped as the pull plan's reads.  A
+        series read comes with its look-back rows (one per position, on
+        the dataset's sampling grid), an event read with its feature's
+        counts (one per position).  After a feature build at ``t`` the
+        plan already holds every pull (they reach back to the
+        reference) and nothing is pulled; on a CPD+-only call the plan
+        pulls the look-back window alone.  Each read counts one cache
+        hit per device it covers.
         """
-        self._pull_plan(extracted, t, t - self.config.lookback)
+        T = self.config.lookback
+        groups, events = self._pull_plan(extracted, t, t - T)
 
-    @_publishes_counts
-    def series_rows(
-        self, locator: str, devices: list[Component], t0: float, t1: float
-    ) -> tuple[list[int], np.ndarray]:
-        """The windows of ``devices`` (in order, duplicates kept) as rows.
+        def paired(reads, kind, values):
+            if reads is None:
+                return None
+            for read in reads:
+                self._count(_CACHE_HITS, kind, len(read.names))
+            return [(read, values(read)) for read in reads]
 
-        Returns the positions in ``devices`` that have data and one
-        matrix row per position, all on the dataset's shared sampling
-        grid — the per-device reads CPD+ scans, served from the plan.
-        """
-        pull = self._serve("series", locator, devices, t0, t1, hits=True)
-        positions, rows = pull.rows([device.name for device in devices])
-        interval = self.store.schema(locator).baseline.interval
-        first = sample_range(interval, pull.t0, t1)[0]
-        lo, hi = sample_range(interval, t0, t1)
-        return positions, pull.values[rows, lo - first : hi + 1 - first]
+        def window(read):
+            return read.pull.columns(t - T, t)[read.rows]
 
-    @_publishes_counts
-    def device_type_counts(
-        self,
-        locator: str,
-        devices: list[Component],
-        t0: float,
-        t1: float,
-        event_type: str,
-    ) -> np.ndarray:
-        """Per-device counts of one schema event type, in order (CPD+).
-
-        -1 marks a device the dataset has no data for.  Served from the
-        plan's count pull the event features share.
-        """
-        pull = self._serve("event_counts", locator, devices, t0, t1, hits=True)
-        column = self._count_types(locator).index(event_type)
-        return pull.column([device.name for device in devices], column)
+        return (
+            [paired(reads, "series", window) for reads in groups],
+            [paired(reads, "event_counts", _Read.counts) for reads in events],
+        )
 
     # -- component resolution ----------------------------------------------
 
@@ -555,7 +545,6 @@ class FeatureBuilder:
 
     # -- the feature vector ----------------------------------------------------
 
-    @_publishes_counts
     def features(
         self, extracted: ExtractedComponents, t: float
     ) -> np.ndarray:
@@ -611,10 +600,9 @@ class FeatureBuilder:
                 vector[pos : pos + width] = np.nan
             else:
                 parts: list[np.ndarray] = []
-                for locator, names in reads:
-                    _, rows = self._plan[(locator, t)].rows(names)
-                    if rows:
-                        pooled = self._normalized(locator, t)[rows]
+                for read in reads:
+                    if read.rows:
+                        pooled = self._normalized(read.pull, t)[read.rows]
                         if pooled.size:
                             parts.append(pooled.ravel())
                 if not parts:
@@ -624,17 +612,14 @@ class FeatureBuilder:
                         parts[0] if len(parts) == 1 else np.concatenate(parts)
                     )
             pos += width
-        for feature, reads in zip(self.schema.event_features, events):
+        for reads in events:
             if reads is None:
                 vector[pos] = 0.0
             elif not reads:
                 vector[pos] = np.nan
             else:
-                ((locator, names),) = reads
-                pull = self._plan[(locator, t - T, t)]
-                column = self._count_types(locator).index(feature.event_type)
-                counts = pull.column(names, column)
-                vector[pos] = float(counts[counts >= 0].sum())
+                (read,) = reads
+                vector[pos] = float(read.counts().sum())
             pos += 1
         for kind in self.config.kinds:
             vector[pos] = float(len(extracted.of_kind(kind)))

@@ -342,22 +342,22 @@ class MonitoringStore:
                 if len(times):
                     time_parts.append(times)
                     types.extend([event_type] * len(times))
-        self._append_burst_events(
-            dataset, component.name, t0, t1, time_parts, types
-        )
+        for event_type, lo, hi, n_events in self._bursts(
+            dataset, component.name, t0, t1
+        ):
+            time_parts.append(np.linspace(lo, hi, n_events, endpoint=False))
+            types.extend([event_type] * n_events)
         return _assemble_events(time_parts, types)
 
-    def _append_burst_events(
-        self,
-        dataset: str,
-        component: str,
-        t0: float,
-        t1: float,
-        time_parts: list[np.ndarray],
-        types: list[str],
-    ) -> None:
-        """Burst effects add failure events deterministically."""
-        for effect in self._effects.get((dataset, component), []):
+    def _bursts(self, dataset: str, component: str, t0: float, t1: float):
+        """The failure events burst effects add over ``[t0, t1]``, one
+        ``(event_type, lo, hi, n_events)`` per effect: ``n_events``
+        spread evenly over the effect's clipped window ``[lo, hi)``.
+
+        The one burst arithmetic every event query shares, so
+        materialized events and counts always agree.
+        """
+        for effect in self._effects.get((dataset, component), ()):
             if effect.start >= t1:
                 break  # effects are kept sorted by start
             lo = max(t0, effect.start)
@@ -365,8 +365,7 @@ class MonitoringStore:
             if hi <= lo or effect.rate <= 0.0:
                 continue
             n_events = max(1, int(round(effect.rate * (hi - lo) / _HOUR)))
-            time_parts.append(np.linspace(lo, hi, n_events, endpoint=False))
-            types.extend([effect.event_type] * n_events)
+            yield effect.event_type, lo, hi, n_events
 
     # -- count queries -------------------------------------------------------
 
@@ -402,28 +401,11 @@ class MonitoringStore:
                 counts[event_type] = int(
                     poisson_counts(seed, indices, lam, stream=stream + 1).sum()
                 )
-        self._add_burst_counts(dataset, component.name, t0, t1, counts)
+        for event_type, _, _, n_events in self._bursts(
+            dataset, component.name, t0, t1
+        ):
+            counts[event_type] = counts.get(event_type, 0) + n_events
         return counts
-
-    def _add_burst_counts(
-        self,
-        dataset: str,
-        component: str,
-        t0: float,
-        t1: float,
-        counts: dict[str, int],
-    ) -> None:
-        """Burst effects: same arithmetic as _append_burst_events, minus
-        the linspace — only the count matters here."""
-        for effect in self._effects.get((dataset, component), []):
-            if effect.start >= t1:
-                break  # effects are kept sorted by start
-            lo = max(t0, effect.start)
-            hi = min(t1, effect.end)
-            if hi <= lo or effect.rate <= 0.0:
-                continue
-            n_events = max(1, int(round(effect.rate * (hi - lo) / _HOUR)))
-            counts[effect.event_type] = counts.get(effect.event_type, 0) + n_events
 
     def query_event_type_counts_matrix(
         self, dataset: str, components: list[Component], t0: float, t1: float
@@ -450,33 +432,34 @@ class MonitoringStore:
             positions = [
                 i for i, c in enumerate(components) if schema.covers(c.kind)
             ]
-        types = sorted(schema.events.rates)
-        counts = np.zeros((len(positions), len(types)), dtype=np.int64)
         names = [components[i].name for i in positions]
-        first, last = _event_bins(t0, t1)
-        if names and last >= first:
-            indices = np.arange(first, last + 1, dtype=np.uint64)
-            seeds = self._series_seeds(dataset, names)
-            for stream, event_type in enumerate(types):
-                lam = schema.events.rates[event_type] * _EVENT_BIN / _HOUR
-                counts[:, stream] = poisson_counts_grid(
-                    seeds, indices, lam, stream=stream + 1
-                ).sum(axis=1)
+        types = sorted(schema.events.rates)
+        n_schema = len(types)
+        # Burst counts first, so a burst type outside the schema adds
+        # its column before the matrix is built.
         columns = {event_type: col for col, event_type in enumerate(types)}
+        bursts: list[tuple[int, int, int]] = []  # (row, column, n_events)
         for row, name in enumerate(names):
             if (dataset, name) not in self._effects:
                 continue
-            bursts: dict[str, int] = {}
-            self._add_burst_counts(dataset, name, t0, t1, bursts)
-            for event_type, n in bursts.items():
+            for event_type, _, _, n_events in self._bursts(dataset, name, t0, t1):
                 col = columns.get(event_type)
                 if col is None:
                     col = columns[event_type] = len(types)
                     types.append(event_type)
-                    counts = np.hstack(
-                        [counts, np.zeros((len(names), 1), dtype=np.int64)]
-                    )
-                counts[row, col] += n
+                bursts.append((row, col, n_events))
+        counts = np.zeros((len(names), len(types)), dtype=np.int64)
+        first, last = _event_bins(t0, t1)
+        if names and last >= first:
+            indices = np.arange(first, last + 1, dtype=np.uint64)
+            seeds = self._series_seeds(dataset, names)
+            for stream, event_type in enumerate(types[:n_schema]):
+                lam = schema.events.rates[event_type] * _EVENT_BIN / _HOUR
+                counts[:, stream] = poisson_counts_grid(
+                    seeds, indices, lam, stream=stream + 1
+                ).sum(axis=1)
+        for row, col, n_events in bursts:
+            counts[row, col] += n_events
         return np.asarray(positions, dtype=np.intp), tuple(types), counts
 
     # -- convenience -------------------------------------------------------

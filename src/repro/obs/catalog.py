@@ -196,12 +196,12 @@ MONITORING_CACHE_HITS_TOTAL = MetricFamily(
     ("kind",),
     help="Feature-builder reads served without a store pull.",
     doc=(
-        "feature-builder reads served without a store pull: CPD+ device "
-        "reads (`series`, `event_counts`) that a pull already in the "
-        "per-call plan holds, one per device read, where reads that pull "
-        "and feature builds are not hits; and feature vectors (`vector`) "
-        "reused from the cross-incident memo, one per `features` call "
-        "that pulled nothing"
+        "feature-builder reads served without a store pull of their own: "
+        "CPD+ dataset reads (`series`, `event_counts`) served from the "
+        "per-call pull plan it shares with the feature build, one per "
+        "device each read covers (a feature build counts none); and "
+        "feature vectors (`vector`) reused from the cross-incident memo, "
+        "one per `features` call that pulled nothing"
     ),
 )
 

@@ -138,8 +138,7 @@ class BoundCounter:
 
     ``Counter.bind`` validates the labels once; ``inc`` is then just a
     lock and a dict update, cheap enough for per-monitoring-query call
-    sites (the feature builder counts tens of thousands of pulls per
-    dataset build).
+    sites (the feature builder ticks once per pull and per CPD+ read).
     """
 
     __slots__ = ("_counter", "_key")

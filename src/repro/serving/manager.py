@@ -577,12 +577,12 @@ class IncidentManager:
         self._breaker_seen: dict[str, str] = {}
         self._decisions = _DecisionLog()
         self._log: list[ServingDecision] = []
-        self._resolved_indices: set[int] = set()
-        # incident_id -> positions in _log, appended with the decision
-        # so resolve() is O(decisions for that incident), not
-        # O(len(_log)): the full-log scan was quadratic over a stream
-        # of resolutions.
-        self._log_indices: dict[int, list[int]] = {}
+        # incident_id -> position in _log of its latest decision, set
+        # with the decision, and -> the position its last resolution
+        # scored.  A resolution settles every earlier decision, so the
+        # unresolved ones are always a suffix and resolve() is O(1).
+        self._latest: dict[int, int] = {}
+        self._scored: dict[int, int] = {}
         self._clock = clock
         # Serializes an incident's accounting (stats, metrics, log
         # append) against swap() and unregister() on another thread,
@@ -1199,7 +1199,7 @@ class IncidentManager:
             )
             decision = ServingDecision(self._decisions, index)
             self._log.append(decision)
-            self._log_indices.setdefault(incident_id, []).append(index)
+            self._latest[incident_id] = index
         return decision
 
     def handle_batch(self, incidents: list[Incident]) -> list[ServingDecision]:
@@ -1225,22 +1225,17 @@ class IncidentManager:
         since the decision was served are skipped.  Raises ``KeyError``
         only if the incident was never served.
 
-        O(decisions for this incident): lookups go through the
-        commit-time ``incident_id -> log positions`` index, not a scan
-        of the whole decision log — the scan made resolving a stream of
-        n incidents quadratic.
+        O(1): a resolution settles every decision served before it, so
+        the latest decision is unresolved exactly when it is not the one
+        the incident's last resolution scored.
         """
-        indices = [
-            i
-            for i in self._log_indices.get(incident_id, ())
-            if i not in self._resolved_indices
-        ]
-        if not indices:
-            if incident_id in self._log_indices:
-                return  # already resolved — idempotent
+        latest = self._latest.get(incident_id)
+        if latest is None:
             raise KeyError(f"no served decision for incident {incident_id}")
-        decision = self._log[indices[-1]]
-        self._resolved_indices.update(indices)
+        if self._scored.get(incident_id) == latest:
+            return  # already resolved — idempotent
+        self._scored[incident_id] = latest
+        decision = self._log[latest]
         for answer in decision.answers:
             truth = answer.team == responsible_team
             if answer.responsible is None:

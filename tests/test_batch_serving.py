@@ -13,8 +13,9 @@ yield a well-defined zero report.
 import threading
 from dataclasses import replace
 
-from repro.core import FeatureBuilder
+from repro.core import CPDPlus, FeatureBuilder
 from repro.core.cpd_plus import CPDVerdict
+from repro.core.extraction import ExtractedComponents
 from repro.core.scout import ScoutPrediction
 from repro.core.selector import Route
 from repro.datacenter import ComponentKind
@@ -272,9 +273,8 @@ class TestIncidentCacheScope:
     def test_clear_cache_clears_the_query_memos(self, sim, framework):
         builder = FeatureBuilder(framework.config, sim.topology, sim.store)
         device = sim.topology.components(ComponentKind.SWITCH)[0]
-        locator = builder.config.monitoring[0].locator
         t = 86400.0 * 320
-        builder.series_rows(locator, [device], t - 3600.0, t)
+        CPDPlus(builder).signals(ExtractedComponents(mentioned=[device]), t)
         assert builder._plan
         builder.clear_cache()
         assert not builder._plan

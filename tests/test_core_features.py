@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import ComponentExtractor, FeatureBuilder, STAT_NAMES
+from repro.core import CPDPlus, ComponentExtractor, FeatureBuilder, STAT_NAMES
+from repro.core.extraction import ExtractedComponents
 from repro.core.features import _stats
 from repro.core.selector import Route
 from repro.datacenter import ComponentKind
@@ -58,8 +59,7 @@ class TestSchema:
 class TestCacheLifetimes:
     def test_clear_cache_resets_query_memos(self, builder, sim):
         device = sim.topology.components(ComponentKind.SWITCH)[0]
-        locator = builder.config.monitoring[0].locator
-        builder.series_rows(locator, [device], _T - 7200.0, _T)
+        builder.features(ExtractedComponents(mentioned=[device]), _T)
         assert builder._plan
         builder.clear_cache()
         assert not builder._plan
@@ -280,14 +280,6 @@ class TestMaterializedEventReference:
         return np.array(positions, dtype=np.intp), tuple(types), counts
 
     @staticmethod
-    def _device_counts_materialized(self, locator, devices, t0, t1, event_type):
-        out = []
-        for device in devices:
-            events = self.store.query_events(locator, device, t0, t1)
-            out.append(-1 if events is None else events.count_of(event_type))
-        return np.array(out, dtype=np.int64)
-
-    @staticmethod
     def _run(scout, incidents):
         vectors, signals, verdicts = [], [], []
         for incident in incidents:
@@ -319,10 +311,6 @@ class TestMaterializedEventReference:
             MonitoringStore, "query_event_type_counts_matrix",
             self._counts_matrix_materialized,
         )
-        monkeypatch.setattr(
-            FeatureBuilder, "device_type_counts",
-            self._device_counts_materialized,
-        )
         want = self._run(scout, subset)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1] == want[1]
@@ -338,51 +326,129 @@ class TestMaterializedEventReference:
 
 class TestBuilderInstrumentation:
     def test_query_and_cache_hit_counters(self, sim, builder):
+        # A feature build costs one query per pulled dataset and no hit;
+        # CPD+ after it pulls nothing and counts one hit per device read.
         builder.obs = Observability(clock=FakeClock())
         switch = sim.topology.components(ComponentKind.SWITCH)[0]
-        builder.series_rows("cpu_usage", [switch], _T - 3600, _T)  # miss
-        builder.series_rows("cpu_usage", [switch], _T - 3600, _T)  # memo hit
+        extracted = ExtractedComponents(mentioned=[switch])
+        schema = builder.schema
+        series = [
+            locator for group in schema.ts_groups
+            if group.kind is ComponentKind.SWITCH for locator in group.locators
+        ]
+        events = [
+            f.locator for f in schema.event_features
+            if f.kind is ComponentKind.SWITCH
+        ]
+        assert series and events
+        builder.features(extracted, _T)
         queries = builder.obs.metrics.get("monitoring_queries_total")
+        assert queries.value(kind="series") == len(set(series))
+        assert queries.value(kind="event_counts") == len(set(events))
+        assert builder.obs.metrics.get("monitoring_cache_hits_total") is None
+        CPDPlus(builder).signals(extracted, _T)
         hits = builder.obs.metrics.get("monitoring_cache_hits_total")
-        assert queries.value(kind="series") == 1
-        assert hits.value(kind="series") == 1
+        assert queries.value(kind="series") == len(set(series))
+        assert queries.value(kind="event_counts") == len(set(events))
+        assert hits.value(kind="series") == len(series)
+        assert hits.value(kind="event_counts") == len(events)
 
     def test_count_read_is_one_query_then_hits(self, sim, builder):
-        # N distinct devices (listed with duplicates) cost one matrix
-        # query and no hit; reading them again costs one hit per read.
+        # A cluster's switches plus one of them mentioned directly: the
+        # event reads list that switch twice, the count pull fetches it
+        # once, and CPD+ counts one hit per device of every read.
         builder.obs = Observability(clock=FakeClock())
-        switches = sim.topology.components(ComponentKind.SWITCH)[:4]
-        devices = switches + switches[:2]
-        feature = next(
+        cluster = sim.topology.components(ComponentKind.CLUSTER)[0]
+        switches = builder._observables(
+            cluster, frozenset({ComponentKind.SWITCH})
+        )
+        extracted = ExtractedComponents(mentioned=[cluster, switches[0]])
+        features = [
             f for f in builder.schema.event_features
-            if f.kind is ComponentKind.SWITCH
-        )
-        locator, event_type = feature.locator, feature.event_type
-        first = builder.device_type_counts(
-            locator, devices, _T - 3600, _T, event_type
-        )
+            if f.kind in (ComponentKind.CLUSTER, ComponentKind.SWITCH)
+        ]
+        vector = builder.features(extracted, _T)
         queries = builder.obs.metrics.get("monitoring_queries_total")
-        assert queries.value(kind="event_counts") == 1
-        assert builder.obs.metrics.get("monitoring_cache_hits_total") is None
-        second = builder.device_type_counts(
-            locator, devices, _T - 3600, _T, event_type
+        assert queries.value(kind="event_counts") == len(
+            {f.locator for f in features}
         )
+        _, events = builder.look_back(extracted, _T)
         hits = builder.obs.metrics.get("monitoring_cache_hits_total")
-        assert queries.value(kind="event_counts") == 1
-        assert hits.value(kind="event_counts") == len(devices)
-        assert (first >= 0).all()
-        assert first.tolist() == second.tolist()
-        assert first[4:].tolist() == first[:2].tolist()
+        assert queries.value(kind="event_counts") == len(
+            {f.locator for f in features}
+        )
+        reads = [
+            (feature, reads[0]) for feature, reads
+            in zip(builder.schema.event_features, events) if reads
+        ]
+        assert [feature for feature, _ in reads] == features
+        assert hits.value(kind="event_counts") == sum(
+            len(builder._devices(f.locator, extracted.of_kind(f.kind)))
+            for f in features
+        )
+        # A device read twice reads the same count both times.
+        seen: dict[tuple, list] = {}
+        for feature, (read, counts) in reads:
+            assert (counts >= 0).all()
+            name = f"{feature.kind.value}.{feature.locator}.{feature.event_type}"
+            assert counts.sum() == vector[builder.schema.index_of(name)]
+            for k, position in enumerate(read.positions):
+                key = (feature.locator, feature.event_type, read.names[position])
+                seen.setdefault(key, []).append(int(counts[k]))
+        twice = [
+            counts for (_, _, device), counts in seen.items()
+            if device == switches[0].name
+        ]
+        assert twice and all(len(c) == 2 and c[0] == c[1] for c in twice)
 
 
 class TestMemo:
     def test_clear_cache_resets(self, sim, builder):
         builder.obs = Observability(clock=FakeClock())
         switch = sim.topology.components(ComponentKind.SWITCH)[0]
-        _, a = builder.series_rows("cpu_usage", [switch], _T - 3600, _T)
-        builder.clear_cache()
-        _, b = builder.series_rows("cpu_usage", [switch], _T - 3600, _T)
+        extracted = ExtractedComponents(mentioned=[switch])
+        a = builder.features(extracted, _T)
         queries = builder.obs.metrics.get("monitoring_queries_total")
-        assert queries.value(kind="series") == 2
+        pulls = queries.total()
+        builder.clear_cache()
+        b = builder.features(extracted, _T)
+        assert pulls > 0
+        assert queries.total() == 2 * pulls
         assert builder.obs.metrics.get("monitoring_cache_hits_total") is None
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+
+
+class TestLookBack:
+    def test_reads_are_raw_look_back_windows_and_counts(self, sim, builder):
+        # CPD+ reads each device's raw [t - T, t] window and counts, on
+        # its own or after a feature build whose pulls reach back to the
+        # reference and whose rows the build z-scored.
+        cluster = sim.topology.components(ComponentKind.CLUSTER)[0]
+        extracted = ExtractedComponents(mentioned=[cluster])
+        T = builder.config.lookback
+        t = _T + 123.0  # off the sampling grid
+        store = sim.store
+        for build_first in (False, True):
+            builder.clear_cache()
+            if build_first:
+                builder.features(extracted, t)
+            groups, events = builder.look_back(extracted, t)
+            series_rows = event_rows = 0
+            for reads in groups:
+                for read, rows in reads or ():
+                    assert rows.shape[0] == len(read.positions)
+                    for row, position in zip(rows, read.positions):
+                        device = sim.topology.component(read.names[position])
+                        want = store.query_series(read.locator, device, t - T, t)
+                        assert row.tobytes() == want.values.tobytes()
+                        series_rows += 1
+            for feature, reads in zip(builder.schema.event_features, events):
+                for read, counts in reads or ():
+                    for count, position in zip(counts, read.positions):
+                        device = sim.topology.component(read.names[position])
+                        want = store.query_event_type_counts(
+                            read.locator, device, t - T, t
+                        )
+                        assert count == want[feature.event_type]
+                        event_rows += 1
+            assert series_rows and event_rows

@@ -90,7 +90,7 @@ class TestResolveIndex:
         # The quadratic scan would have read ~n²/2 entries (5e7); the
         # index reads exactly the single decision each resolve scores.
         assert log.reads == n
-        assert len(manager._resolved_indices) == n
+        assert len(manager._scored) == n
 
     def test_repeat_resolutions_stay_idempotent_and_read_nothing(self):
         manager = _flaky_manager()
