@@ -69,14 +69,22 @@ class MetaFeaturizer:
     def transform(self, texts: list[str]) -> np.ndarray:
         if not self._vocab:
             raise RuntimeError("MetaFeaturizer must be fitted first")
-        X = np.zeros((len(texts), len(self._vocab) + 1))
+        width = len(self._vocab) + 1
+        cells: list[int] = []
+        lengths: list[int] = []
         for i, text in enumerate(texts):
             tokens = tokenize(text)
-            for token in tokens:
-                j = self._vocab.get(token)
-                if j is not None:
-                    X[i, j] += 1.0
-            X[i, -1] = len(tokens)
+            base = i * width
+            cells.extend(
+                base + j for j in map(self._vocab.get, tokens) if j is not None
+            )
+            lengths.append(len(tokens))
+        # Counts are small integers, exact in float64 whatever the order.
+        counts = np.bincount(
+            np.asarray(cells, dtype=np.intp), minlength=len(texts) * width
+        )
+        X = counts.reshape(len(texts), width).astype(float)
+        X[:, -1] = lengths
         return X
 
 

@@ -5,6 +5,12 @@ offer explain-ability."  Explainability comes from aggregating per-tree
 feature contributions (Palczewska et al. [57]) — see
 :meth:`RandomForestClassifier.feature_contributions`.
 
+Inference runs on one merged ensemble of every tree's flat arrays.  A
+batch advances all (tree, row) lanes level by level in numpy; a single
+row, the serving case, is one Python walk down every tree, and its
+contributions come from the edges that walk took.  Both give the bytes
+the per-tree loops give (``tests/oracles.py``).
+
 Training draws every tree's rng seed and bootstrap sample *up front*
 from the forest rng, so the per-tree fits are independent pure
 functions of ``(params, X, y, seed, bootstrap_idx)``.  That makes
@@ -39,15 +45,23 @@ _POOL_MIN_TREE_ROWS = 16_384
 class _EnsembleArrays:
     """Every tree's flat arrays concatenated for one merged traversal.
 
-    Per-tree batch prediction spends its time in numpy-call overhead
-    (roughly ``depth`` tiny calls per tree).  Concatenating the node
-    arrays of all trees — child indices re-based by each tree's node
-    offset, leaf distributions scattered into forest class columns —
-    turns the whole forest into one big flat tree whose (tree, row)
-    lanes advance together in a single level-synchronous loop.
+    Concatenating the node arrays of all trees — child indices re-based
+    by each tree's node offset, leaf distributions scattered into forest
+    class columns — turns the whole forest into one big flat tree.  Two
+    traversals read it:
+
+    * :meth:`sum_proba` advances every (tree, row) lane together in one
+      level-synchronous loop, so a batch costs roughly ``depth`` numpy
+      calls, not ``n_rows × n_trees × depth`` Python steps;
+    * :meth:`walk` follows one row down every tree in plain Python over
+      list copies of the node arrays: for a single row, one list index
+      per step is cheaper than the batch loop's per-level numpy calls.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "distribution", "roots")
+    __slots__ = (
+        "feature", "threshold", "left", "right", "distribution", "roots",
+        "_lists",
+    )
 
     def __init__(self, trees: list[DecisionTreeClassifier], n_classes: int) -> None:
         flats = [tree.flat_ for tree in trees]
@@ -71,23 +85,86 @@ class _EnsembleArrays:
             cols = tree.classes_.astype(int)
             distribution[off : off + flat.n_nodes][:, cols] = flat.distribution
         self.distribution = distribution
+        self._lists = (
+            self.feature.tolist(),
+            self.threshold.tolist(),
+            self.left.tolist(),
+            self.right.tolist(),
+            self.roots.tolist(),
+        )
 
     def sum_proba(self, X: np.ndarray) -> np.ndarray:
         """Sum of per-tree class distributions for every row of ``X``."""
         n_rows = X.shape[0]
         n_trees = len(self.roots)
-        idx = np.repeat(self.roots, n_rows)
-        rows = np.tile(np.arange(n_rows), n_trees)
-        feature = self.feature
-        active = np.flatnonzero(feature[idx] != _NO_FEATURE)
-        while active.size:
-            cur = idx[active]
-            go_left = X[rows[active], feature[cur]] <= self.threshold[cur]
-            nxt = np.where(go_left, self.left[cur], self.right[cur])
-            idx[active] = nxt
-            active = active[feature[nxt] != _NO_FEATURE]
+        if n_rows == 1:
+            idx = self.walk(X[0])[0]
+        else:
+            idx = np.repeat(self.roots, n_rows)
+            rows = np.tile(np.arange(n_rows), n_trees)
+            feature = self.feature
+            active = np.flatnonzero(feature[idx] != _NO_FEATURE)
+            while active.size:
+                cur = idx[active]
+                go_left = X[rows[active], feature[cur]] <= self.threshold[cur]
+                nxt = np.where(go_left, self.left[cur], self.right[cur])
+                idx[active] = nxt
+                active = active[feature[nxt] != _NO_FEATURE]
+        # Summing over the leading tree axis adds tree by tree, in tree
+        # order, whatever the row count.
         leaves = self.distribution[idx]
         return leaves.reshape(n_trees, n_rows, -1).sum(axis=0)
+
+    def walk(
+        self, row: np.ndarray, edges: bool = False
+    ) -> tuple[list[int], list[int], list[int]]:
+        """One row's leaf in every tree, in tree order.
+
+        With ``edges``, also the parent and child node of every step
+        taken, in tree order and root-to-leaf within a tree; otherwise
+        those two lists are empty.  ``<=`` sends a row right on NaN,
+        as the batch loop does.
+        """
+        feature, threshold, left, right, roots = self._lists
+        x = row.tolist()
+        leaves: list[int] = []
+        parents: list[int] = []
+        children: list[int] = []
+        for node in roots:
+            f = feature[node]
+            while f != _NO_FEATURE:
+                child = left[node] if x[f] <= threshold[node] else right[node]
+                if edges:
+                    parents.append(node)
+                    children.append(child)
+                node = child
+                f = feature[node]
+            leaves.append(node)
+        return leaves, parents, children
+
+    def contributions(self, row: np.ndarray, n_features: int) -> np.ndarray:
+        """Summed per-tree Palczewska contributions for one row.
+
+        Every step's class-probability delta is credited to the feature
+        its parent tests.  The deltas are summed per (tree, feature) in
+        path order, then per feature in tree order: the association of
+        one accumulation per tree added into the total tree by tree.
+        """
+        _, parents, children = self.walk(row, edges=True)
+        total = np.zeros((n_features, self.distribution.shape[1]))
+        if not parents:
+            return total
+        parents = np.asarray(parents, dtype=np.int64)
+        deltas = self.distribution[children] - self.distribution[parents]
+        trees = np.searchsorted(self.roots, parents, side="right") - 1
+        keys = trees * n_features + self.feature[parents]
+        # np.unique sorts the (tree, feature) keys tree-major, and add.at
+        # accumulates repeated indices in the order they are listed.
+        per_tree_keys, slot = np.unique(keys, return_inverse=True)
+        per_tree = np.zeros((len(per_tree_keys), total.shape[1]))
+        np.add.at(per_tree, slot, deltas)
+        np.add.at(total, per_tree_keys % n_features, per_tree)
+        return total
 
 
 def _fit_tree_shard(
@@ -311,11 +388,19 @@ class RandomForestClassifier(Classifier):
     def __getstate__(self) -> dict:
         # n_jobs is a wall-clock knob, not model state: leaving it out
         # keeps the pickle of a fitted forest independent of it.
+        # The merged ensemble is a cache rebuilt from trees_ on first
+        # use: pickling it would make a bundle's bytes depend on whether
+        # the forest had predicted before it was saved.
         state = self.__dict__.copy()
         state.pop("n_jobs", None)
+        state.pop("_ensemble_", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Bundles written before the cache left the pickle may carry an
+        # ensemble of an older layout; drop it and rebuild on use.
+        state = dict(state)
+        state.pop("_ensemble_", None)
         self.__dict__.update(state)
         self.__dict__.setdefault("n_jobs", 1)
 
@@ -356,8 +441,4 @@ class RandomForestClassifier(Classifier):
             raise ValueError(
                 f"expected {self.n_features_} features, got {row.shape[0]}"
             )
-        total = np.zeros((self.n_features_, len(self.classes_)))
-        for tree in self.trees_:
-            cols = tree.classes_.astype(int)
-            total[:, cols] += tree.decision_contributions(row)
-        return total / self.n_estimators
+        return self._merged().contributions(row, self.n_features_) / self.n_estimators

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.cpd_plus import _LEAF_KINDS as _CPD_LEAF_KINDS
 from repro.core.features import _PERCENTILES, STAT_NAMES, FeatureBuilder
+from repro.ml.text import tokenize
 from repro.ml.tree import DecisionTreeClassifier, TreeNode, _gini
 from repro.serving.fleet import _SIGNAL_COLS, _SIGNAL_WINDOW
 
@@ -136,6 +137,52 @@ class ReferenceTree(DecisionTreeClassifier):
                 best_score = float(gains[best_local])
                 best = (int(feature), float(threshold), best_score)
         return best
+
+
+# -- forest inference -------------------------------------------------------------
+
+
+def reference_forest_proba(forest, X: np.ndarray) -> np.ndarray:
+    """Forest class probabilities as a per-tree loop, summed in tree order.
+
+    Each tree predicts with its own level-synchronous flat traversal and
+    its distribution columns are added into the forest's class columns;
+    ``RandomForestClassifier.predict_proba`` merges the trees and, for
+    one row, walks them in Python instead.
+    """
+    total = np.zeros((X.shape[0], len(forest.classes_)))
+    for tree in forest.trees_:
+        total[:, tree.classes_.astype(int)] += tree.predict_proba(X)
+    return total / forest.n_estimators
+
+
+def reference_feature_contributions(forest, row: np.ndarray) -> np.ndarray:
+    """Palczewska contributions as one ``decision_contributions`` per tree.
+
+    The per-tree loop ``RandomForestClassifier.feature_contributions``
+    replaced with one walk of the merged ensemble: every tree's
+    contributions accumulate in path order, then add into the total
+    tree by tree.
+    """
+    row = np.asarray(row, dtype=float).ravel()
+    total = np.zeros((forest.n_features_, len(forest.classes_)))
+    for tree in forest.trees_:
+        total[:, tree.classes_.astype(int)] += tree.decision_contributions(row)
+    return total / forest.n_estimators
+
+
+def reference_meta_counts(featurizer, texts: list[str]) -> np.ndarray:
+    """``MetaFeaturizer.transform`` as a per-token increment loop."""
+    vocab = {word: j for j, word in enumerate(featurizer.vocabulary)}
+    X = np.zeros((len(texts), len(vocab) + 1))
+    for i, text in enumerate(texts):
+        tokens = tokenize(text)
+        for token in tokens:
+            j = vocab.get(token)
+            if j is not None:
+                X[i, j] += 1.0
+        X[i, -1] = len(tokens)
+    return X
 
 
 # -- fleet scoring --------------------------------------------------------------

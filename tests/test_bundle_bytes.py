@@ -1,14 +1,17 @@
-"""A trained Scout's bundle bytes do not depend on parallelism.
+"""A trained Scout's bundle bytes do not depend on parallelism or use.
 
 The registry publishes a bundle's SHA-256, so the same training data
 must serialize to the same bytes whatever ``n_jobs`` was and whether
 the forest fits ran in a process pool: the forest does not pickle its
 ``n_jobs`` knob, and pool-fitted trees share numpy's dtype objects and
-the forest's parameter objects exactly as in-process trees do.
+the forest's parameter objects exactly as in-process trees do.  Nor
+does the forest pickle the merged ensemble it builds on its first
+prediction, so serving an incident does not change the bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -17,6 +20,7 @@ import repro.ml.forest as forest_module
 from repro.config import phynet_config
 from repro.core import ScoutFramework, TrainingOptions
 from repro.core.persistence import load_scout, save_scout
+from repro.core.selector import Route
 from repro.ml import RandomForestClassifier
 from repro.registry import ModelRegistry
 
@@ -53,6 +57,40 @@ def test_bundle_bytes_independent_of_parallelism(
     assert forest_pools == [2, 2, 2]
     assert len(set(raw.values())) == 1
     assert len(set(digests.values())) == 1
+
+
+def test_bundle_bytes_independent_of_serving(sim, split, incidents, tmp_path):
+    train, _ = split
+    scout = _train(sim, train, 1)
+    before = tmp_path / "before.pkl"
+    save_scout(scout, before)
+    for incident in incidents:
+        if scout.predict(incident).route == Route.SUPERVISED:
+            break
+    # Both forests in the bundle have predicted and cached their ensemble.
+    assert "_ensemble_" in vars(scout.forest)
+    assert "_ensemble_" in vars(scout.selector._model)
+    after = tmp_path / "after.pkl"
+    save_scout(scout, after)
+    assert after.read_bytes() == before.read_bytes()
+    registry = ModelRegistry(tmp_path / "registry")
+    assert registry.publish(scout).sha256 == hashlib.sha256(before.read_bytes()).hexdigest()
+
+
+def test_bundle_with_pickled_ensemble_still_loads(sim, scout, split, tmp_path, monkeypatch):
+    """Bundles that pickled the merged ensemble load and rebuild it."""
+    _, test = split
+    X = scout.imputer.transform(test.X)
+    want = scout.forest.predict_proba(X[:1])
+    path = tmp_path / "cached.pkl"
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            RandomForestClassifier, "__getstate__", lambda self: dict(self.__dict__)
+        )
+        save_scout(scout, path)
+    loaded = load_scout(path, sim.topology, sim.store)
+    assert "_ensemble_" not in vars(loaded.forest)
+    assert loaded.forest.predict_proba(X[:1]).tobytes() == want.tobytes()
 
 
 def test_forest_pickle_omits_n_jobs():
