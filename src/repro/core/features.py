@@ -169,18 +169,26 @@ def _stats(pooled: np.ndarray) -> np.ndarray:
     means downstream).
     """
     out = np.zeros(len(STAT_NAMES))
-    if pooled.size == 0:
+    n = pooled.size
+    if n == 0:
         return out
-    out[0] = pooled.mean()
-    out[2] = pooled.min()
-    out[3] = pooled.max()
-    if pooled.size < 2:
+    # ndarray.mean / std / min / max in numpy's own arithmetic order,
+    # without their per-call dispatch: mean is the pairwise sum over n,
+    # std the root of the summed squared deviations over n, and the
+    # extremes are the ends of the one sort.
+    ordered = np.sort(pooled)
+    mean = np.add.reduce(pooled) / n
+    out[0] = mean
+    out[2] = ordered[0]
+    out[3] = ordered[-1]
+    if n < 2:
         return out  # std and percentile slots stay zero-filled
-    out[1] = pooled.std()
-    # One sort plus the np.percentile replica: byte-identical for the
-    # finite, zero-canonical inputs z-scored windows are (see
-    # window_agg), without numpy's per-call dispatch and partition.
-    out[4:] = exact_percentiles(np.sort(pooled), _PERCENTILES)
+    deviation = pooled - mean
+    out[1] = np.sqrt(np.add.reduce(deviation * deviation) / n)
+    # The np.percentile replica: byte-identical for the finite,
+    # zero-canonical inputs z-scored windows are (see window_agg),
+    # without numpy's per-call dispatch and partition.
+    out[4:] = exact_percentiles(ordered, _PERCENTILES)
     return out
 
 

@@ -15,22 +15,21 @@ cannot produce ``-0.0``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["exact_percentiles"]
 
 
-def exact_percentiles(
-    sorted_values: np.ndarray, percentiles: tuple[float, ...] | np.ndarray
-) -> np.ndarray:
-    """``np.percentile(values, percentiles)`` replicated on sorted input.
+@lru_cache(maxsize=1024)
+def _plan(n: int, percentiles: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Where ``np.percentile`` reads a sorted window of ``n`` values.
 
-    Byte-for-byte identical to numpy's default (``linear``) method —
-    including the branch numpy's ``_lerp`` takes for interpolation
-    weights >= 0.5 — but skips the per-call dispatch, validation, and
-    partition machinery, which dominate at feature-window sizes.
+    The indices, the interpolation weights and the ``>= 0.5`` branch
+    mask depend only on the window size and the percentiles, so they
+    are worked out once per window size.
     """
-    n = sorted_values.size
     q = np.true_divide(percentiles, 100)
     virtual = (n - 1) * q
     previous = np.floor(virtual)
@@ -40,10 +39,29 @@ def exact_percentiles(
     above = virtual >= n - 1
     prev_idx[above] = n - 1
     next_idx[above] = n - 1
+    hi = gamma >= 0.5
+    plan = (prev_idx, next_idx, gamma, hi, 1.0 - gamma[hi])
+    for array in plan:  # shared by every later call of this size
+        array.flags.writeable = False
+    return plan
+
+
+def exact_percentiles(
+    sorted_values: np.ndarray, percentiles: tuple[float, ...]
+) -> np.ndarray:
+    """``np.percentile(values, percentiles)`` replicated on sorted input.
+
+    Byte-for-byte identical to numpy's default (``linear``) method —
+    including the branch numpy's ``_lerp`` takes for interpolation
+    weights >= 0.5 — but skips the per-call dispatch, validation, and
+    partition machinery, which dominate at feature-window sizes.
+    """
+    prev_idx, next_idx, gamma, hi, hi_rest = _plan(
+        sorted_values.size, percentiles
+    )
     a = sorted_values[prev_idx]
     b = sorted_values[next_idx]
     diff = b - a
     out = a + diff * gamma
-    hi = gamma >= 0.5
-    out[hi] = b[hi] - diff[hi] * (1.0 - gamma[hi])
+    out[hi] = b[hi] - diff[hi] * hi_rest
     return out

@@ -68,6 +68,7 @@ class Topology:
         # per-incident hot path).
         self._members_cache: dict[tuple[str, ComponentKind | None], list[Component]] = {}
         self._deps_cache: dict[str, list[Component]] = {}
+        self._kind_cache: dict[ComponentKind, list[Component]] = {}
         # One Component per node, named by the graph's own key string:
         # whatever a lookup's name was sliced from (an incident's text),
         # every extracted component and explanation shares this one.
@@ -89,11 +90,12 @@ class Topology:
 
     def components(self, kind: ComponentKind) -> list[Component]:
         """All components of one kind, sorted by name."""
-        return sorted(
-            Component(kind, name)
-            for name, data in self._graph.nodes(data=True)
-            if data["kind"] == kind
-        )
+        cached = self._kind_cache.get(kind)
+        if cached is None:
+            cached = self._kind_cache[kind] = sorted(
+                c for c in self._components.values() if c.kind == kind
+            )
+        return list(cached)
 
     @property
     def n_components(self) -> int:

@@ -272,10 +272,11 @@ def _score_chunk(
 
     Returns ``(ok, verdict, confidence, attempts)``, each shaped
     ``(len(ids), shard size)`` with columns in the shard's roster order.
-    ``ok`` is False where every retry attempt failed; ``verdict`` and
-    ``confidence`` are meaningful only where ``ok`` (False / 0.0
-    elsewhere).  Pure: output depends only on the context and the
-    arguments.  The optional ``io_stall_s`` models the network-bound
+    ``ok`` is False where every retry attempt failed; ``verdict`` is
+    meaningful where ``ok`` (False elsewhere), and ``confidence`` where
+    ``ok & verdict`` — the only cells the Master ranks and calibration
+    fits on — and 0.0 elsewhere.  Pure: output depends only on the
+    context and the arguments.  The optional ``io_stall_s`` models the network-bound
     monitoring fetch a real fleet pays once per chunk — real wall time
     (the overlap process workers buy) that never touches the results.
     """
@@ -318,19 +319,8 @@ def _score_chunk(
             attempts[failing, j] = max_attempts
 
     acc = np.zeros((n, m))
-    spread = np.zeros((n, m))
     for j in live:
-        team = shard.teams[j]
-        acc[:, j] = _draws(f"{seed}|acc|{team}|", keys)
-        spread[:, j] = _draws(f"{seed}|conf|{team}|", keys)
-
-    # The monitoring-shard read: each incident's window of every team's
-    # signal row, gathered once per task and reduced along the window
-    # axis (equal, bit for bit, to a per-pair window.mean() + std()).
-    block = _signals(ctx)[shard.rows]
-    starts = [incident_id % (_SIGNAL_COLS - _SIGNAL_WINDOW) for incident_id in ids]
-    windows = sliding_window_view(block, _SIGNAL_WINDOW, axis=1)[:, starts]
-    stat = (windows.mean(axis=2) + windows.std(axis=2)).T
+        acc[:, j] = _draws(f"{seed}|acc|{shard.teams[j]}|", keys)
 
     column = {team: j for j, team in enumerate(shard.teams)}
     truth = np.zeros((n, m), dtype=bool)
@@ -340,14 +330,39 @@ def _score_chunk(
             truth[i, j] = True
     correct = acc < shard.accuracy
     verdict = (truth == correct) & ok
+
+    # Only a yes-answer's confidence is ever read, so the Appendix D
+    # confidence is computed for the yes cells alone; every other cell
+    # reports 0.0, as a failed call does.  Cells run team-major, so
+    # each team's "conf" key prefix is hashed once.
+    confidence = np.zeros((n, m))
+    cols, rows = np.nonzero(verdict.T)
+    if not cols.size:
+        return ok, verdict, confidence, attempts
+    said_yes, firsts = np.unique(cols, return_index=True)
+    spread = np.concatenate([
+        _draws(f"{seed}|conf|{shard.teams[j]}|", [keys[i] for i in run.tolist()])
+        for j, run in zip(said_yes.tolist(), np.split(rows, firsts[1:]))
+    ])
+
+    # The monitoring-shard read: each yes cell's window of its team's
+    # signal row, gathered as one contiguous 32-float row per cell and
+    # reduced along it (equal, bit for bit, to a per-pair
+    # window.mean() + std()).
+    starts = np.array(
+        [incident_id % (_SIGNAL_COLS - _SIGNAL_WINDOW) for incident_id in ids]
+    )
+    windows = sliding_window_view(_signals(ctx), _SIGNAL_WINDOW, axis=1)[
+        shard.rows[cols], starts[rows]
+    ]
+    stat = windows.mean(axis=1) + windows.std(axis=1)
+
     # The signal window perturbs the confidence inside its Appendix D
     # band — the memmap is load-bearing, not decorative.
     u = (spread + stat % 1.0) % 1.0
-    raw = np.where(correct, 0.8 - shard.beta * u, 0.5 + shard.beta * u)
-    confidence = np.array(
-        [round(c, 9) for c in raw.ravel().tolist()]
-    ).reshape(n, m)
-    confidence[~ok] = 0.0
+    beta = shard.beta[cols]
+    raw = np.where(correct[rows, cols], 0.8 - beta * u, 0.5 + beta * u)
+    confidence[rows, cols] = [round(c, 9) for c in raw.tolist()]
     return ok, verdict, confidence, attempts
 
 
@@ -799,8 +814,14 @@ class FleetServer:
         metrics = self.obs.metrics
         metrics.gauge(catalog.FLEET_TEAMS).set(len(self.roster.specs))
         metrics.gauge(catalog.FLEET_SHARDS).set(self.shard_count)
-        self._m_incidents = metrics.counter(catalog.FLEET_INCIDENTS_TOTAL)
-        self._m_decisions = metrics.counter(catalog.FLEET_DECISIONS_TOTAL)
+        self._m_incidents = metrics.counter(
+            catalog.FLEET_INCIDENTS_TOTAL
+        ).bind()
+        decisions = metrics.counter(catalog.FLEET_DECISIONS_TOTAL)
+        self._m_decisions = {
+            result: decisions.bind(result=result)
+            for result in ("suggested", "legacy_fallback")
+        }
         self._m_reroutes = metrics.counter(catalog.FLEET_REROUTES_TOTAL)
         answers = metrics.counter(catalog.FLEET_SCOUT_ANSWERS_TOTAL)
         self._m_answers = {
@@ -985,9 +1006,9 @@ class FleetServer:
             self._m_incidents.inc()
             if reroutes:
                 self._m_reroutes.inc(reroutes)
-            self._m_decisions.inc(
-                1, result="suggested" if suggested else "legacy_fallback"
-            )
+            self._m_decisions[
+                "suggested" if suggested else "legacy_fallback"
+            ].inc()
             # Breakers at rest are closed, so only unsettled ones can
             # be open.
             self._m_breakers.set(

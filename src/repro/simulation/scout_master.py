@@ -71,7 +71,7 @@ class ScoutMaster:
         for answer in yes:
             others = names - {answer.team}
             if others and all(
-                answer.team in self.registry.dependencies(other)
+                answer.team in self.registry[other].depends_on
                 for other in others
             ):
                 return answer.team

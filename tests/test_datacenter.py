@@ -147,6 +147,21 @@ class TestTopology:
         first.clear()
         assert topo.members(cluster.name)  # cache not corrupted
 
+    @pytest.mark.parametrize("kind", list(ComponentKind))
+    def test_components_memo_is_sorted_canonical_and_copied(self, kind):
+        topo = build_topology(TopologySpec())
+        expected = sorted(
+            Component(kind, name)
+            for name, data in topo._graph.nodes(data=True)
+            if data["kind"] == kind
+        )
+        first = topo.components(kind)
+        assert first == expected
+        assert all(c is topo.component(c.name) for c in first)
+        first.reverse()
+        first.append(Component(kind, "intruder"))
+        assert topo.components(kind) == expected
+
     def test_contains(self, topo):
         vm = topo.components(ComponentKind.VM)[0]
         assert vm.name in topo

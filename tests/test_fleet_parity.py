@@ -6,15 +6,21 @@ pass and returns columns.  ``tests/oracles.py`` keeps the scalar
 per-pair loop it replaced; every generated roster, layout, fault
 setting and incident id (0, around multiples of the 224-column window
 span, above 2**40) must score identically pair by pair — same ``ok``
-and attempt count, and where the call succeeded the same verdict and
-the same confidence bits.
+and attempt count, and where the call succeeded the same verdict.
+The kernel computes a confidence only for a yes-answer (the only kind
+the Master ranks and calibration fits on), so a yes cell carries the
+oracle's confidence bits and every other cell carries 0.0; and the
+"conf" keys a task hashes are exactly its yes cells' keys.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +89,14 @@ def _fleets(draw):
     return roster, knobs, incidents
 
 
+def _yes_only(expected):
+    """The oracle's tuples with a no-answer's confidence read as 0.0."""
+    return [
+        (incident_id, (team, verdict, conf if verdict else 0.0, *rest))
+        for incident_id, (team, verdict, conf, *rest) in expected
+    ]
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -103,7 +117,9 @@ def test_task_kernel_matches_per_pair_oracle(fleet):
             # Each task's columns, in its shard's roster order.
             for shard_id, rows in enumerate(server._shard_rows):
                 shard = [(row, roster.specs[row]) for row in rows]
-                expected = reference_score_chunk(shard, signals, pairs, *args)
+                expected = _yes_only(
+                    reference_score_chunk(shard, signals, pairs, *args)
+                )
                 ok, verdict, confidence, attempts = _score_chunk(
                     ctx, shard_id, ids, truths
                 )
@@ -125,16 +141,70 @@ def test_task_kernel_matches_per_pair_oracle(fleet):
             # The parent's assembly puts every column at its roster row.
             ok, verdict, confidence, attempts = server._score(pending)
             everyone = list(enumerate(roster.specs))
-            expected = reference_score_chunk(everyone, signals, pairs, *args)
+            expected = _yes_only(
+                reference_score_chunk(everyone, signals, pairs, *args)
+            )
             for k, (_, (team, want_verdict, want_conf, want_attempts,
                         want_ok)) in enumerate(expected):
                 i, row = divmod(k, len(everyone))
                 assert roster.teams[row] == team
                 assert ok[i, row] == want_ok
                 assert attempts[i, row] == want_attempts
+                assert confidence[i, row] == want_conf
                 if want_ok:
                     assert verdict[i, row] == want_verdict
-                    assert confidence[i, row] == want_conf
+
+
+class _KeyLog:
+    """A sha256 stand-in that records every key it digests."""
+
+    def __init__(self, log: list[bytes], data: bytes = b"", state=None):
+        self._log = log
+        self._data = data
+        self._state = state if state is not None else hashlib.sha256(data)
+
+    def copy(self) -> "_KeyLog":
+        return _KeyLog(self._log, self._data, self._state.copy())
+
+    def update(self, data: bytes) -> None:
+        self._data += data
+        self._state.update(data)
+
+    def digest(self) -> bytes:
+        self._log.append(self._data)
+        return self._state.digest()
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_fleets())
+def test_task_hashes_conf_keys_of_yes_cells_only(fleet):
+    roster, knobs, incidents = fleet
+    log: list[bytes] = []
+    counting = SimpleNamespace(sha256=lambda data=b"": _KeyLog(log, data))
+    with FleetServer(roster, **knobs) as server:
+        for ids, truths, _ in server._dispatch(incidents):
+            for shard_id, rows in enumerate(server._shard_rows):
+                log.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(fleet_module, "hashlib", counting)
+                    ok, verdict, _, _ = _score_chunk(
+                        server._ctx, shard_id, ids, truths
+                    )
+                hashed = [
+                    key.decode() for key in log if b"|conf|" in key
+                ]
+                yes = [
+                    f"{roster.seed}|conf|{roster.specs[row].team}|{ids[i]}"
+                    for j, row in enumerate(rows)
+                    for i in range(len(ids))
+                    if ok[i, j] and verdict[i, j]
+                ]
+                assert len(hashed) == len(yes)
+                assert sorted(hashed) == sorted(yes)
 
 
 # -- per-server contexts ------------------------------------------------------
